@@ -14,6 +14,7 @@ from .chord_arc import (
     MonotonicityReport,
     chord_of_arc,
     min_chord,
+    min_chord_curve,
     tangential_chord,
     tangential_chord_profile,
     verify_min_chord_monotone,
@@ -120,6 +121,7 @@ __all__ = [
     "tangential_chord",
     "tangential_chord_profile",
     "min_chord",
+    "min_chord_curve",
     "verify_min_chord_monotone",
     "verify_tangential_chord_monotone",
     # lower bounds

@@ -3,10 +3,13 @@
 On the Euclidean circle every arc of a given length spans a chord of the
 same length; on any other C_p the chord length depends on where the arc
 sits.  ``min_chord`` is the shortest chord over all placements of an arc of
-a given length, and ``tangential_chord`` gives the chord as a function of
-the arc's tangential angle (the angle of the arc midpoint).  By the four
-reflection symmetries of C_p every chord value is attained with tangential
-angle in [0, pi/4].
+a given length, ``min_chord_curve`` the same minimum along a uniform grid of
+arc lengths, and ``tangential_chord`` gives the chord as a function of the
+arc's tangential angle (the angle of the arc midpoint).  By the four
+reflection symmetries of C_p every chord value is attained with the arc
+midpoint on the eighth of C_p between angles 0 and pi/4, i.e. at arc length
+m in [0, E] from (1, 0), where E = pi_p / 4.  The minimum-chord searches
+parametrize the midpoint by that arc length m.
 
 The two ``verify_*`` routines certify, on dense grids, the monotonicity
 facts the optimality argument rests on: the minimum chord grows with arc
@@ -16,7 +19,6 @@ minimized at the deployment the search actually uses).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -31,6 +33,7 @@ from .lp_geometry import (
     _point_at_arc_from_zero,
     _reduce_angle,
     chord_length,
+    lp_norm,
     point_at_arc_length,
     unit_circle_point,
     validate_p,
@@ -45,9 +48,16 @@ __all__ = [
     "tangential_chord",
     "tangential_chord_profile",
     "min_chord",
+    "min_chord_curve",
     "verify_min_chord_monotone",
     "verify_tangential_chord_monotone",
 ]
+
+# Midpoint cells on [0, E]: min_chord scans _MID_CELLS of them,
+# min_chord_curve at least _CURVE_MID_CELLS (see its docstring).
+_MID_CELLS = 512
+_CURVE_MID_CELLS = 510
+_REFINE_TOL = Tolerance(abs_tol=1e-10, rel_tol=0.0)
 
 
 class Direction(Enum):
@@ -101,51 +111,105 @@ def tangential_chord(p: float, theta: float, arc_len: float) -> float:
     total = 8.0 * _chart(p).eighth
     if not 0.0 < arc_len < total:
         raise DomainError(f"arc length {arc_len} outside (0, 2*pi_p)")
-    lam_mid = _arc_from_zero(p, _reduce_angle(theta))
-    half = 0.5 * arc_len
-    a = _point_at_arc_from_zero(p, lam_mid + half)
-    b = _point_at_arc_from_zero(p, lam_mid - half)
+    return _centred_chord(p, _arc_from_zero(p, _reduce_angle(theta)), 0.5 * arc_len)
+
+
+def _centred_chord(p: float, mid: float, half: float) -> float:
+    # Chord of the arc that reaches arc length ``half`` both ways from the
+    # point at arc length ``mid``.
+    a = _point_at_arc_from_zero(p, mid + half)
+    b = _point_at_arc_from_zero(p, mid - half)
     return chord_length(p, a.point, b.point)
 
 
-def min_chord(p: float, u: float, n_theta: int = 512) -> float:
+def _least_chord(
+    p: float, mids: list[float], chords: list[float], half: float
+) -> float:
+    # The smallest of ``chords`` (the chords of half-length ``half`` centred
+    # at ``mids``), refined by golden section over the neighbouring cells.
+    # Ties go to the smallest midpoint.
+    i = min(range(len(chords)), key=chords.__getitem__)
+    lo = mids[i - 1] if i > 0 else mids[0]
+    hi = mids[i + 1] if i + 1 < len(mids) else mids[-1]
+    _, neg = maximize_1d(
+        lambda m: -_centred_chord(p, m, half), lo, hi, _REFINE_TOL, n_grid=32
+    )
+    return min(chords[i], -neg)
+
+
+def min_chord(p: float, u: float) -> float:
     """Shortest chord over all arcs of C_p of length u.
 
     An arc and its complement share endpoints, so u reduces to
-    min(u, 2*pi_p - u); the tangential angle then sweeps [0, pi/4] on a
-    dense grid and the best cell is refined by golden section.  Ties go to
-    the smallest angle.
+    min(u, 2*pi_p - u).  The arc midpoint then sweeps the arc lengths
+    m in [0, pi_p / 4] in 512 equal cells, each chord placing both
+    endpoints m -/+ u/2, and the best cell is refined by golden section.
+    Ties go to the smallest m.
     """
     p = validate_p(p)
-    total = 8.0 * _chart(p).eighth
+    eighth = _chart(p).eighth
+    total = 8.0 * eighth
     if not 0.0 <= u < total + 1e-9:
         raise DomainError(f"arc length {u} outside [0, 2*pi_p)")
     u_eff = min(u, total - u)
     if u_eff <= 0.0:
         return 0.0
-    n = max(int(n_theta), 2)
     half = 0.5 * u_eff
-    step = QUARTER_PI / n
-    best_val = math.inf
-    best_i = 0
-    for i in range(n + 1):
-        lam_mid = _arc_from_zero(p, i * step if i < n else QUARTER_PI)
-        a = _point_at_arc_from_zero(p, lam_mid + half)
-        b = _point_at_arc_from_zero(p, lam_mid - half)
-        v = chord_length(p, a.point, b.point)
-        if v < best_val:
-            best_val = v
-            best_i = i
-    lo = (best_i - 1) * step if best_i > 0 else 0.0
-    hi = (best_i + 1) * step if best_i < n else QUARTER_PI
-    _, neg = maximize_1d(
-        lambda th: -tangential_chord(p, th, u_eff),
-        lo,
-        hi,
-        Tolerance(abs_tol=1e-10, rel_tol=0.0),
-        n_grid=32,
-    )
-    return min(best_val, -neg)
+    step = eighth / _MID_CELLS
+    mids = [i * step for i in range(_MID_CELLS)] + [eighth]
+    return _least_chord(p, mids, [_centred_chord(p, m, half) for m in mids], half)
+
+
+def _quarter_turn_lattice(p: float, n: int) -> tuple[list[float], list[float]]:
+    # Coordinates (xs, ys) of the points of C_p at arc lengths i * E / n for
+    # i in [-2n, 5n], stored at index i + 2n.  Only the quadrant [0, 2E) is
+    # placed; the rest follows by quarter turns (x, y) -> (-y, x), which map
+    # C_p onto itself and advance arc length by 2E.
+    h = _chart(p).eighth / n
+    pts = [_point_at_arc_from_zero(p, i * h).point for i in range(2 * n)]
+    x = [pt.x for pt in pts]
+    y = [pt.y for pt in pts]
+    neg_x = [-v for v in x]
+    neg_y = [-v for v in y]
+    # quadrants -1, 0, 1, 2 and the first half of 3: (y, -x), (x, y),
+    # (-y, x), (-x, -y), (y, -x)
+    xs = y + x + neg_y + neg_x + y[: n + 1]
+    ys = neg_x + y + x + neg_y + neg_x[: n + 1]
+    return xs, ys
+
+
+def min_chord_curve(p: float, steps: int) -> list[tuple[float, float]]:
+    """(u, min_chord(p, u)) on the uniform grid u_j = j * pi_p / (steps - 1).
+
+    pi_p is 4E, with E = pi_p / 4 the chart's eighth of C_p.  Every chord
+    the scan needs joins two points of one arc-length lattice with cells
+    h = E / n, n = 2 (steps - 1) ceil(256 / (steps - 1)), so each u_j / 2 is
+    a whole number of cells.  The lattice is placed once and each chord is
+    the l_p distance between two cached points.  Midpoints are every r-th
+    lattice point of [0, E], r = max(1, n // 510), plus E itself, so at least
+    510 midpoint cells are scanned for every grid while the scan stays
+    linear in steps.  The best cell of each u is refined as in
+    :func:`min_chord`, from directly placed endpoints.
+    """
+    p = validate_p(p)
+    if steps < 2:
+        raise DomainError(f"need at least 2 arc lengths, got {steps}")
+    eighth = _chart(p).eighth
+    k = -(-256 // (steps - 1))
+    n = 2 * (steps - 1) * k
+    h = eighth / n
+    xs, ys = _quarter_turn_lattice(p, n)
+    stride = max(1, n // _CURVE_MID_CELLS)
+    mid_idx = list(range(2 * n, 3 * n, stride)) + [3 * n]
+    mids = [(i - 2 * n) * h for i in mid_idx]
+    curve = [(0.0, 0.0)]
+    for j, u in enumerate(_uniform(steps, 4.0 * eighth)[1:], start=1):
+        s = 4 * k * j
+        chords = [
+            lp_norm(p, (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s])) for i in mid_idx
+        ]
+        curve.append((u, _least_chord(p, mids, chords, 0.5 * u)))
+    return curve
 
 
 def _uniform(n: int, hi: float) -> list[float]:
@@ -168,15 +232,14 @@ def verify_min_chord_monotone(
 ) -> MonotonicityReport:
     """Certify that the minimum chord grows with arc length on [0, pi_p].
 
-    Samples ``min_chord`` on a uniform grid and reports the largest drop
-    between consecutive samples.  Certifies non-strict monotonicity up to
-    floating noise only.
+    Samples :func:`min_chord_curve` on a uniform grid and reports the
+    largest drop between consecutive samples.  Certifies non-strict
+    monotonicity up to floating noise only.
     """
     p = validate_p(p)
     if grid_size < 64:
         raise DomainError(f"grid must have at least 64 points, got {grid_size}")
-    half_total = 4.0 * _chart(p).eighth
-    values = [min_chord(p, u) for u in _uniform(grid_size, half_total)]
+    values = [chord for _, chord in min_chord_curve(p, grid_size)]
     worst = 0.0
     for prev, nxt in zip(values, values[1:]):
         drop = prev - nxt

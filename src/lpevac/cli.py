@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .chord_arc import (
     min_chord,
+    min_chord_curve,
     tangential_chord_profile,
     verify_min_chord_monotone,
     verify_tangential_chord_monotone,
@@ -186,11 +187,7 @@ def cmd_sigma(p: float, steps: int, arc_len: Optional[float] = None) -> CurveTab
 def cmd_lchord(p: float, steps: int) -> CurveTable:
     if steps < 2:
         raise UsageError(f"need at least 2 steps, got {steps}")
-    hp = half_perimeter(p)
-    rows = []
-    for i in range(steps):
-        u = hp * i / (steps - 1)
-        rows.append((u, min_chord(p, u)))
+    rows = min_chord_curve(p, steps)
     return CurveTable.build(("u", "L"), rows, _meta("lchord", p=p, steps=steps))
 
 
@@ -259,7 +256,12 @@ def cmd_verify(
         p_passed = all(c["passed"] for c in checks)
         all_passed = all_passed and p_passed
         results.append(
-            {"p": p, "passed": p_passed, "warnings": warnings_list, "checks": checks}
+            {
+                "p": _jsonable(p),
+                "passed": p_passed,
+                "warnings": warnings_list,
+                "checks": checks,
+            }
         )
     report = {
         "metadata": _meta("verify", grid=grid, tol=tol, gap_tol=gap_tol, chord_tol=chord_tol),

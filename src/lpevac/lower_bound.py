@@ -47,7 +47,7 @@ class OptimalityReport:
 
 def weak_lower_bound(p: float) -> float:
     """1 + pi_p: no algorithm evacuates faster than covering the perimeter."""
-    return 1.0 + half_perimeter(validate_p(p))
+    return 1.0 + half_perimeter(p)
 
 
 def generic_lower_bound(p: float) -> float:

@@ -14,13 +14,16 @@ as |s| -> 1, so every integral here is folded into the chart segment
 s in [0, 2^(-1/p)] using the reflection symmetries of C_p (the lines y=0,
 x=0, y=x, y=-x all map C_p to itself); the singular region is never
 evaluated.  Per-p cumulative arc length tables make arc-length evaluation
-and inversion cheap enough for dense sweeps.  Rebuilding a table is
-deterministic, so the module-level cache is safe under concurrent use.
+and inversion cheap enough for dense sweeps.  The module-level caches of
+tables and of pi_p hold a fixed number of entries and drop the oldest on
+insert.  Rebuilding an entry is deterministic and inserts take a lock, so
+the caches are safe under concurrent use.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -217,18 +220,42 @@ def _quarter_arc_integral(p: float, upper: float) -> float:
     return integrate_adaptive(lambda z: _speed(p, z), 0.0, upper, _QUAD_TOL)
 
 
+# Per-p caches, bounded.  A chart table holds about 196 KiB; 16 of them
+# cover a sweep that cycles through a handful of p without rebuilding.
+_CHART_CACHE_SIZE = 16
+_PERIMETER_CACHE_SIZE = 1024
+_CACHE_LOCK = threading.Lock()
+
+
+def _remember(cache: dict, size: int, p: float, value) -> None:
+    # Insert, dropping the oldest entry (dicts keep insertion order) when
+    # the cache is full.  The lock keeps concurrent inserts from evicting
+    # twice or iterating a dict that another thread is changing; a lookup
+    # needs no lock.
+    with _CACHE_LOCK:
+        if p not in cache and len(cache) >= size:
+            del cache[next(iter(cache))]
+        cache[p] = value
+
+
 _PERIMETER_CACHE: dict[float, float] = {}
 
 
-def half_perimeter(p: float) -> float:
-    """pi_p, half the l_p perimeter of C_p.  pi_1 = pi_inf = 4, pi_2 = pi."""
-    p = validate_p(p)
+def half_perimeter(p: float, *, checked: bool = False) -> float:
+    """pi_p, half the l_p perimeter of C_p.  pi_1 = pi_inf = 4, pi_2 = pi.
+
+    ``checked=True`` is for callers that have already passed p through
+    :func:`validate_p`: it skips the check and so does not repeat the
+    precision warning.
+    """
+    if not checked:
+        p = validate_p(p)
     if p == 1.0 or math.isinf(p):
         return 4.0
     cached = _PERIMETER_CACHE.get(p)
     if cached is None:
         cached = 4.0 * _quarter_arc_integral(p, _fold_limit(p))
-        _PERIMETER_CACHE[p] = cached
+        _remember(_PERIMETER_CACHE, _PERIMETER_CACHE_SIZE, p, cached)
     return cached
 
 
@@ -345,7 +372,7 @@ def _chart(p: float) -> _Chart:
     ch = _CHART_CACHE.get(p)
     if ch is None:
         ch = _Chart(p)
-        _CHART_CACHE[p] = ch
+        _remember(_CHART_CACHE, _CHART_CACHE_SIZE, p, ch)
     return ch
 
 

@@ -18,6 +18,7 @@ from lpevac import (
     integrate_adaptive,
     lp_norm,
     min_chord,
+    min_chord_curve,
     tangential_chord,
     verify_min_chord_monotone,
     verify_tangential_chord_monotone,
@@ -147,6 +148,50 @@ class TestMinChord:
         # the true minimum quadratically in the spacing (about 6e-6 here)
         assert best <= sweep + 1e-9
         assert sweep - best <= 1e-5
+
+
+class TestMinChordCurve:
+    @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0, 10.0, 45.0, INF])
+    @pytest.mark.parametrize("steps", [64, 65, 96, 256])
+    def test_matches_min_chord_per_arc_length(self, p, steps):
+        # odd (63, 95, 255) and even (64) steps - 1: lattices of 630, 512,
+        # 570 and 1020 cells, scanned with strides 1, 1, 1 and 2
+        curve = min_chord_curve(p, steps)
+        assert len(curve) == steps
+        assert curve[0] == (0.0, 0.0)
+        for u, chord in curve[1:]:
+            assert chord == pytest.approx(min_chord(p, u), abs=1e-12)
+
+    def test_arc_lengths_are_uniform_to_pi_p(self):
+        curve = min_chord_curve(3.0, 65)
+        us = [u for u, _ in curve]
+        assert us[-1] == pytest.approx(half_perimeter(3.0), abs=1e-12)
+        step = us[-1] / 64
+        assert all(u == pytest.approx(j * step, abs=1e-14) for j, u in enumerate(us))
+
+    @pytest.mark.parametrize("steps", [64, 1024])
+    def test_chord_evaluations_per_arc_length_stay_bounded(self, steps, monkeypatch):
+        # The scan takes every r-th lattice midpoint, so the chords per arc
+        # length stay near 510 + refinement at any grid; a lattice scanned
+        # without the stride would need about 2100 per u at steps = 1024.
+        import lpevac.chord_arc as chord_arc
+        import lpevac.lp_geometry as geo
+
+        calls = [0]
+        norm = geo.lp_norm
+
+        def counting(p, v):
+            calls[0] += 1
+            return norm(p, v)
+
+        for module in (geo, chord_arc):  # every module that holds lp_norm
+            monkeypatch.setattr(module, "lp_norm", counting)
+        min_chord_curve(1.5, steps)
+        assert calls[0] / (steps - 1) < 1100
+
+    def test_rejects_single_step(self):
+        with pytest.raises(DomainError):
+            min_chord_curve(2.0, 1)
 
 
 class TestVerifyMinChordMonotone:

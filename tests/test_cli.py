@@ -16,6 +16,7 @@ from lpevac.cli import (
     parse_angle,
     parse_p,
 )
+from lpevac.lp_geometry import _chart, half_perimeter
 from lpevac.tables import CurveTable, quantize
 
 
@@ -144,6 +145,15 @@ class TestCmdLchord:
         for u, val in t.rows:
             assert val == pytest.approx(2.0 * math.sin(u / 2.0), abs=1e-6)
 
+    @pytest.mark.parametrize("p", [1.001, 1.5, 3.0, 45.0])
+    def test_arc_lengths_reach_chart_pi_p(self, p):
+        # the u column runs to the chart's pi_p = 4E, which agrees with the
+        # quadrature pi_p far below the table's 12 digits for p <= 45
+        chart_pi_p = 4.0 * _chart(p).eighth
+        assert chart_pi_p == pytest.approx(half_perimeter(p), rel=0.0, abs=1e-12)
+        us = cmd_lchord(p, 9).column("u")
+        assert us == [quantize(chart_pi_p * j / 8) for j in range(9)]
+
 
 class TestCmdVerify:
     def test_passes_for_good_p(self):
@@ -219,6 +229,15 @@ class TestMainEntry:
         assert main(["verify", "1.5", "--grid", "96"]) == 0
         capsys.readouterr()
         assert main(["verify", "1.5", "--grid", "96", "--gap-tol", "1e-18"]) == 1
+
+    def test_verify_inf_is_strict_json(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert main(["verify", "inf", "--grid", "64"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["results"][0]["p"] == "inf"
+        assert doc["passed"] is True
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["pi", "3", "1"]) == 2

@@ -247,6 +247,17 @@ class TestWorstCaseParams:
         assert (inf.explored, inf.separation) == (4.0, 2.0)
 
 
+@pytest.mark.parametrize("fn", [worst_case_params, worst_case_cost])
+def test_precision_warning_emitted_once_per_call(fn):
+    # The p > 50 warning comes from the public entry point only; the
+    # pi_p and critical-data lookups under it see an already-checked p.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(100.0)
+    assert len(caught) == 1
+    assert "well-conditioned range" in str(caught[0].message)
+
+
 class TestWorstCaseCost:
     def test_extremes_exactly_five(self):
         assert worst_case_cost(1.0) == 5.0

@@ -287,6 +287,59 @@ def test_concurrent_use_is_deterministic():
     assert threaded == serial
 
 
+@pytest.mark.parametrize(
+    "cache,size,fill",
+    [
+        ("_CHART_CACHE", "_CHART_CACHE_SIZE", "_chart"),
+        ("_PERIMETER_CACHE", "_PERIMETER_CACHE_SIZE", "half_perimeter"),
+    ],
+)
+def test_caches_stay_bounded(cache, size, fill):
+    import lpevac.lp_geometry as geo
+
+    cache, size, fill = getattr(geo, cache), getattr(geo, size), getattr(geo, fill)
+    ps = [1.6180339 + 1e-3 * i for i in range(size + 3)]
+    for p in ps:
+        fill(p)
+    assert len(cache) == size
+    assert ps[0] not in cache
+    newest = cache[ps[-1]]
+    fill(ps[-1])
+    assert len(cache) == size and cache[ps[-1]] is newest
+
+
+def test_cache_inserts_from_threads_keep_the_bound():
+    # eviction is check-then-act on a shared dict; with the lock, eight
+    # threads switching every microsecond neither raise nor leave the
+    # cache below or above its bound
+    import sys
+    import threading
+
+    import lpevac.lp_geometry as geo
+
+    cache, size, errors = {}, 64, []
+
+    def work(t):
+        try:
+            for i in range(2000):
+                geo._remember(cache, size, t + i / 1e4, i)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(float(t),)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and len(cache) == size
+
+
 def test_arcspec_holds_fields():
     arc = ArcSpec(2.0, 0.5, 1.25)
     assert (arc.p, arc.start_phi, arc.length) == (2.0, 0.5, 1.25)
