@@ -191,7 +191,7 @@ def aux_root_equation(p: float, w: float) -> float:
 def _axis_branch(p: float) -> tuple[Optional[float], float, float, float]:
     # Critical data for deployment phi = 0, valid for p in (1, 2].
     s = ((2.0**p - 1.0) ** (1.0 / (p - 1.0)) + 1.0) ** (-1.0 / p)
-    explored = half_perimeter(p, checked=True) + 2.0 * _quarter_arc_integral(p, s)
+    explored = half_perimeter(p) + 2.0 * _quarter_arc_integral(p, s)
     sep = 2.0 * _ypow(p, s)
     return None, s, explored, sep
 
@@ -205,15 +205,13 @@ def _diagonal_branch(p: float) -> tuple[Optional[float], float, float, float]:
     s = (wq + 1.0) ** (-1.0 / p)
     # (1 - s^p)^(1/p) computed from the exact value s^p = 1 / (1 + wq)
     s_dual = (wq / (1.0 + wq)) ** (1.0 / p)
-    pi_p = half_perimeter(p, checked=True)
+    pi_p = half_perimeter(p)
     explored = 1.5 * pi_p - 2.0 * _quarter_arc_integral(p, s_dual)
     sep = 2.0 ** (1.0 / p) * (s_dual + s)
     return w, s, explored, sep
 
 
-def worst_case_params(
-    p: float, branch: Optional[Branch] = None, *, checked: bool = False
-) -> CriticalParams:
+def worst_case_params(p: float, branch: Optional[Branch] = None) -> CriticalParams:
     """Critical quantities of the worst-case exit.
 
     The branch defaults to the optimal deployment for this p (axis for
@@ -221,11 +219,9 @@ def worst_case_params(
     closed form is valid (axis for p <= 2, diagonal for p >= 2, both at 2).
     The separation and half the explored measure approach their p -> inf
     limit 2 slowly, at a rate of about ln p / p (separation 1.9425 at
-    p = 50, within 0.05 of 2 only from p ~ 61.5).  ``checked=True`` skips
-    validating p, as in :func:`~lpevac.lp_geometry.half_perimeter`.
+    p = 50, within 0.05 of 2 only from p ~ 61.5).
     """
-    if not checked:
-        p = validate_p(p)
+    p = validate_p(p)
     if p == 1.0:
         return CriticalParams(p, Branch.AXIS, None, 0.2, 4.8, 1.6)
     if math.isinf(p):
@@ -253,10 +249,10 @@ def worst_case_cost(p: float) -> float:
     p = validate_p(p)
     if p == 1.0 or math.isinf(p):
         return 5.0
-    cp = worst_case_params(p, checked=True)
+    cp = worst_case_params(p)
     cost = 1.0 + 0.5 * cp.explored + cp.separation
     if p > 2.0:
-        cost = max(cost, 1.0 + half_perimeter(p, checked=True))
+        cost = max(cost, 1.0 + half_perimeter(p))
     return cost
 
 
@@ -269,17 +265,13 @@ def worst_case_grid_oracle(params: AlgoParams, n_grid: int = 4096) -> tuple[floa
     if n_grid < 64:
         raise DomainError(f"oracle grid must have at least 64 points, got {n_grid}")
     half = 0.5 * _total(params.p)
-    f = lambda tau: evac_time(params, tau)
-    step = half / n_grid
-    taus = [i * step for i in range(n_grid)] + [half]
-    vals = [f(t) for t in taus]
-    ibest = max(range(n_grid + 1), key=vals.__getitem__)
-    lo = taus[ibest - 1] if ibest > 0 else 0.0
-    hi = taus[ibest + 1] if ibest < n_grid else half
-    x, v = maximize_1d(f, lo, hi, Tolerance(abs_tol=1e-10, rel_tol=0.0), n_grid=64)
-    if vals[ibest] > v:
-        return taus[ibest], vals[ibest]
-    return x, v
+    return maximize_1d(
+        lambda tau: evac_time(params, tau),
+        0.0,
+        half,
+        Tolerance(abs_tol=1e-10, rel_tol=0.0),
+        n_grid=n_grid,
+    )
 
 
 def evac_cost_curve(p: float, s: float, piece: CostPiece) -> float:
@@ -296,7 +288,7 @@ def evac_cost_curve(p: float, s: float, piece: CostPiece) -> float:
     if p <= 1.0 or math.isinf(p):
         raise DomainError("cost curves require finite p > 1")
     fold = _fold_limit(p)
-    pi_p = half_perimeter(p, checked=True)
+    pi_p = half_perimeter(p)
     if piece is CostPiece.AXIS:
         if not 0.0 <= s <= 1.0:
             raise DomainError(f"axis curve needs s in [0, 1], got {s}")

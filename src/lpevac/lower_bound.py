@@ -5,7 +5,9 @@ covered), and at least 1 + e/2 + min_chord(e) where e is the worst-case
 explored measure (two unexplored points at arc distance ~ 2*pi_p - e always
 remain, and the minimum chord is monotone).  The gap between the upper
 bound and the stronger lower bound is numerically ~0, which is what makes
-the search optimal.
+the search optimal.  The generic bound needs finite p > 1, so the report
+sets ``generic_is_weak`` only at p in {1, inf}, where the weak bound 5 is
+already tight.
 """
 from __future__ import annotations
 
@@ -21,20 +23,15 @@ __all__ = [
     "weak_lower_bound",
     "generic_lower_bound",
     "optimality_report",
-    "GENERIC_BOUND_MAX_P",
 ]
-
-# Beyond this p the min-chord verification is outside its well-conditioned
-# range; the report then falls back to the weak bound and flags the row.
-GENERIC_BOUND_MAX_P = 45.0
 
 
 @dataclass(frozen=True)
 class OptimalityReport:
     """upper vs lower bounds at one p; gap = upper - generic_lower.
 
-    generic_is_weak marks rows where the generic bound was replaced by the
-    weak one (p in {1, inf}, or p beyond GENERIC_BOUND_MAX_P).
+    generic_is_weak marks the rows p in {1, inf}, where the generic bound
+    is undefined and the weak one stands in for it.
     """
 
     p: float
@@ -63,10 +60,6 @@ def optimality_report(p: float) -> OptimalityReport:
     p = validate_p(p)
     upper = worst_case_cost(p)
     weak = weak_lower_bound(p)
-    if p == 1.0 or math.isinf(p) or p > GENERIC_BOUND_MAX_P:
-        generic = weak
-        fallback = True
-    else:
-        generic = generic_lower_bound(p)
-        fallback = False
-    return OptimalityReport(p, upper, weak, generic, upper - generic, fallback)
+    weak_only = p == 1.0 or math.isinf(p)
+    generic = weak if weak_only else generic_lower_bound(p)
+    return OptimalityReport(p, upper, weak, generic, upper - generic, weak_only)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,8 +54,6 @@ QUARTER_PI = 0.25 * math.pi
 
 # Quadrature used for one-shot arc integrals (perimeter, explored measures).
 _QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=60)
-
-_LARGE_P_WARN = 50.0
 
 
 class DomainError(ValueError):
@@ -95,12 +92,6 @@ def validate_p(p: float) -> float:
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise DomainError(f"norm parameter must be >= 1 (or inf), got {p}")
-    if _LARGE_P_WARN < p < INF:
-        warnings.warn(
-            f"p={p} is beyond the well-conditioned range (p <= {_LARGE_P_WARN}); "
-            "results may lose precision",
-            stacklevel=2,
-        )
     return p
 
 
@@ -217,7 +208,16 @@ def _quarter_arc_integral(p: float, upper: float) -> float:
         return 2.0 * upper
     if math.isinf(p):
         return upper
-    return integrate_adaptive(lambda z: _speed(p, z), 0.0, upper, _QUAD_TOL)
+    speed = lambda z: _speed(p, z)
+    # For large p the speed stays near 1 until it rises to 2^(1/p) within
+    # about 1/(2 p^2) of the fold, where a first panel over the whole
+    # segment sees nothing of it; a break point at that knee lets the
+    # adaptive quadrature resolve it.
+    knee = _fold_limit(p) * math.exp(-40.0 / (p * p))
+    if p <= 4.0 or upper <= knee:
+        return integrate_adaptive(speed, 0.0, upper, _QUAD_TOL)
+    head = integrate_adaptive(speed, 0.0, knee, _QUAD_TOL)
+    return head + integrate_adaptive(speed, knee, upper, _QUAD_TOL)
 
 
 # Per-p caches, bounded.  A chart table holds about 196 KiB; 16 of them
@@ -241,15 +241,9 @@ def _remember(cache: dict, size: int, p: float, value) -> None:
 _PERIMETER_CACHE: dict[float, float] = {}
 
 
-def half_perimeter(p: float, *, checked: bool = False) -> float:
-    """pi_p, half the l_p perimeter of C_p.  pi_1 = pi_inf = 4, pi_2 = pi.
-
-    ``checked=True`` is for callers that have already passed p through
-    :func:`validate_p`: it skips the check and so does not repeat the
-    precision warning.
-    """
-    if not checked:
-        p = validate_p(p)
+def half_perimeter(p: float) -> float:
+    """pi_p, half the l_p perimeter of C_p.  pi_1 = pi_inf = 4, pi_2 = pi."""
+    p = validate_p(p)
     if p == 1.0 or math.isinf(p):
         return 4.0
     cached = _PERIMETER_CACHE.get(p)

@@ -5,7 +5,6 @@ passing runs too).
 """
 import math
 import time
-import warnings
 
 from lpevac import (
     INF,
@@ -138,10 +137,8 @@ def test_criterion_05_cost_curve_minima():
 def test_criterion_06_large_p_anchor():
     t0 = time.time()
     failures = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # precision warning permitted here
-        upper = worst_case_cost(1000.0)
-        weak = weak_lower_bound(1000.0)
+    upper = worst_case_cost(1000.0)
+    weak = weak_lower_bound(1000.0)
     if abs(upper - 4.9993023351) > 1e-5:
         failures.append(f"cost(1000) = {upper}")
     if abs(weak - 4.9972283728) > 1e-5:
@@ -240,11 +237,9 @@ def test_criterion_12_limit_behavior():
     # The separation tends to 2 only at a rate of about ln p / p, so it is
     # checked by its value at p=50, a monotone approach and that rate.
     ladder = [50.0, 100.0, 200.0, 500.0, 1000.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cp50 = worst_case_params(50.0)
-        frac = cp50.explored / (2.0 * half_perimeter(50.0))
-        gaps = [2.0 - worst_case_params(p).separation for p in ladder]
+    cp50 = worst_case_params(50.0)
+    frac = cp50.explored / (2.0 * half_perimeter(50.0))
+    gaps = [2.0 - worst_case_params(p).separation for p in ladder]
     if abs(0.5 * cp50.explored - 2.0) > 0.05:
         failures.append(f"p=50 search time {0.5 * cp50.explored} vs 2")
     # gamma_50 from three computations: the closed form (through the

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -175,6 +176,24 @@ class TestCmdVerify:
         with pytest.raises(UsageError):
             cmd_verify([])
 
+    def test_min_chord_computed_once_per_p(self, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        calls = []
+        original = chord_arc.min_chord
+
+        def counting(p, u):
+            calls.append(p)
+            return original(p, u)
+
+        holders = [m for name, m in sys.modules.items() if name.startswith("lpevac")]
+        for module in holders:  # every module that holds min_chord
+            if getattr(module, "min_chord", None) is original:
+                monkeypatch.setattr(module, "min_chord", counting)
+        code, _ = cmd_verify([3.0], grid=64)
+        assert code == 0
+        assert calls == [3.0]
+
 
 class TestCmdSimulate:
     def test_known_cost_six(self):
@@ -238,6 +257,12 @@ class TestMainEntry:
         doc = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert doc["results"][0]["p"] == "inf"
         assert doc["passed"] is True
+
+    def test_verify_large_p_passes_silently(self, capsys):
+        assert main(["verify", "100", "--grid", "64"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["passed"] is True
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["pi", "3", "1"]) == 2

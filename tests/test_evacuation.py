@@ -16,14 +16,17 @@ from lpevac import (
     evac_cost_curve,
     evac_time,
     half_perimeter,
+    optimality_report,
     robot_positions,
     separation,
     simulate_exit,
+    tangential_chord_profile,
     unit_circle_point,
     worst_case_cost,
     worst_case_grid_oracle,
     worst_case_params,
 )
+from lpevac.cli import cmd_cost, cmd_params
 
 QUARTER = math.pi / 4
 P_GRID = [1.1, 1.3, 1.5, 1.7, 2.0, 2.5, 3.0, 5.0, 10.0, 20.0]
@@ -247,15 +250,24 @@ class TestWorstCaseParams:
         assert (inf.explored, inf.separation) == (4.0, 2.0)
 
 
-@pytest.mark.parametrize("fn", [worst_case_params, worst_case_cost])
-def test_precision_warning_emitted_once_per_call(fn):
-    # The p > 50 warning comes from the public entry point only; the
-    # pi_p and critical-data lookups under it see an already-checked p.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fn(100.0)
-    assert len(caught) == 1
-    assert "well-conditioned range" in str(caught[0].message)
+LARGE_P_CALLS = {
+    "worst_case_params": lambda: worst_case_params(100.0),
+    "worst_case_cost": lambda: worst_case_cost(100.0),
+    "optimality_report": lambda: optimality_report(100.0),
+    "cmd_cost": lambda: cmd_cost(100.0, 100.0, 1),
+    "cmd_params": lambda: cmd_params(100.0),
+    "tangential_chord_profile": lambda: tangential_chord_profile(
+        100.0, worst_case_params(100.0).explored, 64
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_P_CALLS)
+def test_large_p_warns_nothing(name):
+    # Every p in [1, inf] is computed to full precision; none is flagged.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        LARGE_P_CALLS[name]()
 
 
 class TestWorstCaseCost:
@@ -268,9 +280,7 @@ class TestWorstCaseCost:
         assert worst_case_cost(2.0) == pytest.approx(expected, abs=1e-5)
 
     def test_large_p(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert worst_case_cost(1000.0) == pytest.approx(4.9993023351, abs=1e-5)
+        assert worst_case_cost(1000.0) == pytest.approx(4.9993023351, abs=1e-5)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 10.0])
     def test_matches_grid_oracle(self, p):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import pytest
 
@@ -23,9 +22,7 @@ class TestWeakLowerBound:
         assert weak_lower_bound(2.0) == pytest.approx(1.0 + math.pi, abs=1e-9)
 
     def test_large_p(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert weak_lower_bound(1000.0) == pytest.approx(4.9972283728, abs=1e-5)
+        assert weak_lower_bound(1000.0) == pytest.approx(4.9972283728, abs=1e-5)
 
 
 class TestGenericLowerBound:
@@ -55,13 +52,11 @@ class TestOptimalityReport:
         assert abs(rep.gap) <= 1e-4
         assert not rep.generic_is_weak
 
-    def test_large_p_falls_back_to_weak(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = optimality_report(1000.0)
-        assert rep.generic_is_weak
-        assert rep.weak_lower == rep.generic_lower
-        assert rep.gap <= 0.0021
+    def test_large_p_uses_generic_bound(self):
+        rep = optimality_report(1000.0)
+        assert not rep.generic_is_weak
+        assert abs(rep.gap) <= 1e-9
+        assert rep.weak_lower < rep.generic_lower
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 2.5, 4.0, 9.0, 20.0])
     def test_bound_ordering(self, p):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,9 +33,10 @@ def test_validate_p_rejects_below_one():
         validate_p(float("nan"))
 
 
-def test_validate_p_warns_for_large_finite_p():
-    with pytest.warns(UserWarning):
-        validate_p(120.0)
+def test_validate_p_accepts_large_finite_p_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_p(120.0) == 120.0
 
 
 class TestNorm:
