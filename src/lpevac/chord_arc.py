@@ -38,7 +38,6 @@ from .lp_geometry import (
     unit_circle_point,
     validate_p,
 )
-from .numerics import Tolerance, maximize_1d
 
 __all__ = [
     "Direction",
@@ -57,7 +56,6 @@ __all__ = [
 # min_chord_curve at least _CURVE_MID_CELLS (see its docstring).
 _MID_CELLS = 512
 _CURVE_MID_CELLS = 510
-_REFINE_TOL = Tolerance(abs_tol=1e-10, rel_tol=0.0)
 
 
 class Direction(Enum):
@@ -122,29 +120,15 @@ def _centred_chord(p: float, mid: float, half: float) -> float:
     return chord_length(p, a.point, b.point)
 
 
-def _least_chord(
-    p: float, mids: list[float], chords: list[float], half: float
-) -> float:
-    # The smallest of ``chords`` (the chords of half-length ``half`` centred
-    # at ``mids``), refined by golden section over the neighbouring cells.
-    # Ties go to the smallest midpoint.
-    i = min(range(len(chords)), key=chords.__getitem__)
-    lo = mids[i - 1] if i > 0 else mids[0]
-    hi = mids[i + 1] if i + 1 < len(mids) else mids[-1]
-    _, neg = maximize_1d(
-        lambda m: -_centred_chord(p, m, half), lo, hi, _REFINE_TOL, n_grid=32
-    )
-    return min(chords[i], -neg)
-
-
 def min_chord(p: float, u: float) -> float:
     """Shortest chord over all arcs of C_p of length u.
 
     An arc and its complement share endpoints, so u reduces to
     min(u, 2*pi_p - u).  The arc midpoint then sweeps the arc lengths
     m in [0, pi_p / 4] in 512 equal cells, each chord placing both
-    endpoints m -/+ u/2, and the best cell is refined by golden section.
-    Ties go to the smallest m.
+    endpoints m -/+ u/2.  The shortest chord of an arc of given length has
+    its midpoint on an axis or a diagonal of C_p, i.e. at m = 0 or m = E,
+    and both are scan nodes, so the least chord scanned is the minimum.
     """
     p = validate_p(p)
     eighth = _chart(p).eighth
@@ -157,7 +141,7 @@ def min_chord(p: float, u: float) -> float:
     half = 0.5 * u_eff
     step = eighth / _MID_CELLS
     mids = [i * step for i in range(_MID_CELLS)] + [eighth]
-    return _least_chord(p, mids, [_centred_chord(p, m, half) for m in mids], half)
+    return min(_centred_chord(p, m, half) for m in mids)
 
 
 def _quarter_turn_lattice(p: float, n: int) -> tuple[list[float], list[float]]:
@@ -188,8 +172,8 @@ def min_chord_curve(p: float, steps: int) -> list[tuple[float, float]]:
     the l_p distance between two cached points.  Midpoints are every r-th
     lattice point of [0, E], r = max(1, n // 510), plus E itself, so at least
     510 midpoint cells are scanned for every grid while the scan stays
-    linear in steps.  The best cell of each u is refined as in
-    :func:`min_chord`, from directly placed endpoints.
+    linear in steps.  Both end midpoints, 0 and E, are lattice points, so
+    the least chord scanned is the minimum, as in :func:`min_chord`.
     """
     p = validate_p(p)
     if steps < 2:
@@ -197,18 +181,16 @@ def min_chord_curve(p: float, steps: int) -> list[tuple[float, float]]:
     eighth = _chart(p).eighth
     k = -(-256 // (steps - 1))
     n = 2 * (steps - 1) * k
-    h = eighth / n
     xs, ys = _quarter_turn_lattice(p, n)
     stride = max(1, n // _CURVE_MID_CELLS)
     mid_idx = list(range(2 * n, 3 * n, stride)) + [3 * n]
-    mids = [(i - 2 * n) * h for i in mid_idx]
     curve = [(0.0, 0.0)]
     for j, u in enumerate(_uniform(steps, 4.0 * eighth)[1:], start=1):
         s = 4 * k * j
         chords = [
             lp_norm(p, (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s])) for i in mid_idx
         ]
-        curve.append((u, _least_chord(p, mids, chords, 0.5 * u)))
+        curve.append((u, min(chords)))
     return curve
 
 

@@ -74,9 +74,12 @@ def parse_angle(text: str) -> float:
         den = float(m.group(3)) if m.group(3) else 1.0
         return sign * num * math.pi / den
     try:
-        return float(s)
+        phi = float(s)
     except ValueError:
         raise UsageError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(phi):
+        raise UsageError(f"angle must be finite, got {text!r}")
+    return phi
 
 
 def parse_p(text: str) -> float:
@@ -90,6 +93,16 @@ def parse_p(text: str) -> float:
     if math.isnan(p) or p < 1.0:
         raise UsageError(f"norm parameter must be >= 1 or inf, got {text!r}")
     return p
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise UsageError(f"cannot parse tolerance {text!r}") from None
+    if not 0.0 <= tol < math.inf:  # also rejects nan
+        raise UsageError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _p_grid(p_min: float, p_max: float, steps: int) -> list[float]:
@@ -380,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the numerical certification suite")
     sp.add_argument("p_list", type=parse_p, nargs="+")
     sp.add_argument("--grid", type=int, default=512)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--gap-tol", type=float, default=1e-4)
-    sp.add_argument("--chord-tol", type=float, default=1e-5)
+    sp.add_argument("--tol", type=_parse_tol, default=1e-9)
+    sp.add_argument("--gap-tol", type=_parse_tol, default=1e-4)
+    sp.add_argument("--chord-tol", type=_parse_tol, default=1e-5)
     sp.add_argument("--out", default=None)
 
     def run_verify(a):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -24,11 +25,32 @@ from lpevac import (
     verify_tangential_chord_monotone,
     worst_case_params,
 )
-from lpevac.lp_geometry import _speed, _ypow
+from lpevac.lp_geometry import _chart, _speed, _ypow
 
 QUARTER = math.pi / 4
 TWO_PI = 2.0 * math.pi
 QUAD = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=60)
+
+
+def _count_placements(monkeypatch, p):
+    # Wrap _point_at_arc_from_zero in every lpevac module that holds it,
+    # after the chart of p is built, and return the call counter.
+    import lpevac.lp_geometry as geo
+
+    _chart(p)
+    calls = [0]
+    original = geo._point_at_arc_from_zero
+
+    def counting(p, s):
+        calls[0] += 1
+        return original(p, s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lpevac") and (
+            getattr(module, "_point_at_arc_from_zero", None) is original
+        ):
+            monkeypatch.setattr(module, "_point_at_arc_from_zero", counting)
+    return calls
 
 
 class TestChordOfArc:
@@ -149,6 +171,12 @@ class TestMinChord:
         assert best <= sweep + 1e-9
         assert sweep - best <= 1e-5
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, INF])
+    def test_places_two_points_per_midpoint(self, p, monkeypatch):
+        calls = _count_placements(monkeypatch, p)
+        min_chord(p, 1.0)
+        assert calls[0] == 2 * 513  # both endpoints of each scanned midpoint
+
 
 class TestMinChordCurve:
     @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0, 10.0, 45.0, INF])
@@ -169,11 +197,12 @@ class TestMinChordCurve:
         step = us[-1] / 64
         assert all(u == pytest.approx(j * step, abs=1e-14) for j, u in enumerate(us))
 
-    @pytest.mark.parametrize("steps", [64, 1024])
+    @pytest.mark.parametrize("steps", [64, 510, 1024])
     def test_chord_evaluations_per_arc_length_stay_bounded(self, steps, monkeypatch):
         # The scan takes every r-th lattice midpoint, so the chords per arc
-        # length stay near 510 + refinement at any grid; a lattice scanned
-        # without the stride would need about 2100 per u at steps = 1024.
+        # length are the scanned midpoints alone: 631, 1019 (the most at any
+        # grid) and 513 here; a lattice scanned without the stride would need
+        # about 2100 per u at steps = 1024.
         import lpevac.chord_arc as chord_arc
         import lpevac.lp_geometry as geo
 
@@ -187,7 +216,17 @@ class TestMinChordCurve:
         for module in (geo, chord_arc):  # every module that holds lp_norm
             monkeypatch.setattr(module, "lp_norm", counting)
         min_chord_curve(1.5, steps)
-        assert calls[0] / (steps - 1) < 1100
+        assert calls[0] / (steps - 1) <= 1019
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, INF])
+    @pytest.mark.parametrize("steps", [64, 256])
+    def test_places_only_the_lattice(self, p, steps, monkeypatch):
+        # 2n points, n = 2 (steps - 1) ceil(256 / (steps - 1)): the first
+        # quadrant of the lattice and nothing else
+        calls = _count_placements(monkeypatch, p)
+        min_chord_curve(p, steps)
+        n = 2 * (steps - 1) * -(-256 // (steps - 1))
+        assert calls[0] == 2 * n
 
     def test_rejects_single_step(self):
         with pytest.raises(DomainError):

@@ -21,6 +21,14 @@ from lpevac.lp_geometry import _chart, half_perimeter
 from lpevac.tables import CurveTable, quantize
 
 
+def _exit_code(argv):
+    # main's return value, or the code argparse exits with on a bad value
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParsing:
     @pytest.mark.parametrize(
         "text,expected",
@@ -263,6 +271,16 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["passed"] is True
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_simulate_non_finite_angle_exit_two(self, angle, capsys):
+        assert _exit_code(["simulate", "2", "0", angle]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("flag", ["--tol", "--gap-tol", "--chord-tol"])
+    def test_verify_rejects_bad_tolerance(self, flag, value, capsys):
+        assert _exit_code(["verify", "2", "--grid", "64", flag, value]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["pi", "3", "1"]) == 2

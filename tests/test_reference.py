@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lpevac import half_perimeter, worst_case_cost, worst_case_params
+from lpevac import half_perimeter, min_chord, worst_case_cost, worst_case_params
 from lpevac.lp_geometry import _chart
 
 REL_TOL = 1e-12
@@ -33,6 +33,10 @@ class TestAgainstReference:
         cp = worst_case_params(row["p"])
         assert _rel(cp.explored, row["e"]) <= REL_TOL
         assert _rel(cp.separation, row["gamma"]) <= REL_TOL
+
+    def test_min_chord_at_explored_measure(self, row):
+        # the midpoint scan reaches the true minimum chord at every fixture p
+        assert _rel(min_chord(row["p"], row["e"]), row["gamma"]) <= REL_TOL
 
     def test_worst_case_cost(self, row):
         assert _rel(worst_case_cost(row["p"]), row["cost"]) <= REL_TOL
