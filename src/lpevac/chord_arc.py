@@ -2,20 +2,22 @@
 
 On the Euclidean circle every arc of a given length spans a chord of the
 same length; on any other C_p the chord length depends on where the arc
-sits.  ``min_chord`` is the shortest chord over all placements of an arc of
-a given length, ``min_chord_curve`` the same minimum along a uniform grid of
-arc lengths, and ``tangential_chord`` gives the chord as a function of the
-arc's tangential angle (the angle of the arc midpoint).  By the four
-reflection symmetries of C_p every chord value is attained with the arc
-midpoint on the eighth of C_p between angles 0 and pi/4, i.e. at arc length
-m in [0, E] from (1, 0), where E = pi_p / 4.  The minimum-chord searches
-parametrize the midpoint by that arc length m.
+sits.  By the four reflection symmetries of C_p every chord value is
+attained with the arc midpoint on the eighth of C_p between angles 0 and
+pi/4, i.e. at arc length m in [0, E] from (1, 0), where E = pi_p / 4.
 
-The two ``verify_*`` routines certify, on dense grids, the monotonicity
-facts the optimality argument rests on: the minimum chord grows with arc
-length on [0, pi_p], and the tangential chord profile at the worst-case
-explored measure is increasing for p < 2 and decreasing for p > 2 (hence
-minimized at the deployment the search actually uses).
+The paper's arc/chord lemma: among arcs of one length the chord is monotone
+in m, increasing for p < 2 and decreasing for p > 2 (constant at p = 2).
+The shortest chord is therefore an end chord, centred on the axis (m = 0)
+for p <= 2 and on the diagonal (m = E) for p > 2.  A chord centred on
+rho_p(theta) is the robots' separation, half the arc length into the search
+deployed at rho_p(theta), so ``min_chord``, ``min_chord_curve`` and
+``tangential_chord`` all evaluate :func:`evacuation.separation`.
+
+``verify_min_chord_monotone`` certifies the lemma on a lattice of arc
+lengths and midpoints, together with the growth of the minimum chord with
+arc length on [0, pi_p]; ``verify_tangential_chord_monotone`` certifies the
+tangential chord profile at the worst-case explored measure.
 """
 from __future__ import annotations
 
@@ -23,15 +25,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .evacuation import worst_case_params
+from .evacuation import AlgoParams, separation, worst_case_params
 from .lp_geometry import (
     QUARTER_PI,
     ArcSpec,
     DomainError,
-    _arc_from_zero,
     _chart,
     _point_at_arc_from_zero,
-    _reduce_angle,
     chord_length,
     lp_norm,
     point_at_arc_length,
@@ -52,10 +52,8 @@ __all__ = [
     "verify_tangential_chord_monotone",
 ]
 
-# Midpoint cells on [0, E]: min_chord scans _MID_CELLS of them,
-# min_chord_curve at least _CURVE_MID_CELLS (see its docstring).
-_MID_CELLS = 512
-_CURVE_MID_CELLS = 510
+# Midpoint cells on [0, E] that verify_min_chord_monotone scans at least.
+_MID_CELLS = 510
 
 
 class Direction(Enum):
@@ -99,49 +97,35 @@ def chord_of_arc(p: float, arc: ArcSpec) -> float:
 def tangential_chord(p: float, theta: float, arc_len: float) -> float:
     """Chord of the arc of length ``arc_len`` whose midpoint is rho_p(theta).
 
-    The midpoint is extended by arc_len / 2 both ways along the circle and
-    the endpoint distance returned.  theta must lie in [0, pi/4] and
-    arc_len in (0, 2*pi_p).
+    The separation of the search deployed at rho_p(theta) after search time
+    arc_len / 2.  theta must lie in [0, pi/4] and arc_len in (0, 2*pi_p).
     """
     p = validate_p(p)
-    if not -1e-12 <= theta <= QUARTER_PI + 1e-12:
-        raise DomainError(f"tangential angle must lie in [0, pi/4], got {theta}")
     total = 8.0 * _chart(p).eighth
     if not 0.0 < arc_len < total:
         raise DomainError(f"arc length {arc_len} outside (0, 2*pi_p)")
-    return _centred_chord(p, _arc_from_zero(p, _reduce_angle(theta)), 0.5 * arc_len)
-
-
-def _centred_chord(p: float, mid: float, half: float) -> float:
-    # Chord of the arc that reaches arc length ``half`` both ways from the
-    # point at arc length ``mid``.
-    a = _point_at_arc_from_zero(p, mid + half)
-    b = _point_at_arc_from_zero(p, mid - half)
-    return chord_length(p, a.point, b.point)
+    return separation(AlgoParams(p, theta), 0.5 * arc_len)
 
 
 def min_chord(p: float, u: float) -> float:
     """Shortest chord over all arcs of C_p of length u.
 
     An arc and its complement share endpoints, so u reduces to
-    min(u, 2*pi_p - u).  The arc midpoint then sweeps the arc lengths
-    m in [0, pi_p / 4] in 512 equal cells, each chord placing both
-    endpoints m -/+ u/2.  The shortest chord of an arc of given length has
-    its midpoint on an axis or a diagonal of C_p, i.e. at m = 0 or m = E,
-    and both are scan nodes, so the least chord scanned is the minimum.
+    u_eff = min(u, 2*pi_p - u).  By the arc/chord lemma (see the module
+    docstring) the shortest chord is the end chord: the arc of length u_eff
+    centred on the axis for p <= 2 and on the diagonal for p > 2, whose
+    chord is the separation of that deployment at search time u_eff / 2.
+    :func:`verify_min_chord_monotone` certifies the lemma.
     """
     p = validate_p(p)
-    eighth = _chart(p).eighth
-    total = 8.0 * eighth
+    total = 8.0 * _chart(p).eighth
     if not 0.0 <= u < total + 1e-9:
         raise DomainError(f"arc length {u} outside [0, 2*pi_p)")
     u_eff = min(u, total - u)
     if u_eff <= 0.0:
         return 0.0
-    half = 0.5 * u_eff
-    step = eighth / _MID_CELLS
-    mids = [i * step for i in range(_MID_CELLS)] + [eighth]
-    return min(_centred_chord(p, m, half) for m in mids)
+    phi = 0.0 if p <= 2.0 else QUARTER_PI
+    return separation(AlgoParams(p, phi), 0.5 * u_eff)
 
 
 def _quarter_turn_lattice(p: float, n: int) -> tuple[list[float], list[float]]:
@@ -165,33 +149,15 @@ def _quarter_turn_lattice(p: float, n: int) -> tuple[list[float], list[float]]:
 def min_chord_curve(p: float, steps: int) -> list[tuple[float, float]]:
     """(u, min_chord(p, u)) on the uniform grid u_j = j * pi_p / (steps - 1).
 
-    pi_p is 4E, with E = pi_p / 4 the chart's eighth of C_p.  Every chord
-    the scan needs joins two points of one arc-length lattice with cells
-    h = E / n, n = 2 (steps - 1) ceil(256 / (steps - 1)), so each u_j / 2 is
-    a whole number of cells.  The lattice is placed once and each chord is
-    the l_p distance between two cached points.  Midpoints are every r-th
-    lattice point of [0, E], r = max(1, n // 510), plus E itself, so at least
-    510 midpoint cells are scanned for every grid while the scan stays
-    linear in steps.  Both end midpoints, 0 and E, are lattice points, so
-    the least chord scanned is the minimum, as in :func:`min_chord`.
+    Each value is the end chord of :func:`min_chord`, two point placements
+    per arc length; :func:`verify_min_chord_monotone` certifies on the same
+    grid that it is the shortest chord and that it grows with u.
     """
     p = validate_p(p)
     if steps < 2:
         raise DomainError(f"need at least 2 arc lengths, got {steps}")
-    eighth = _chart(p).eighth
-    k = -(-256 // (steps - 1))
-    n = 2 * (steps - 1) * k
-    xs, ys = _quarter_turn_lattice(p, n)
-    stride = max(1, n // _CURVE_MID_CELLS)
-    mid_idx = list(range(2 * n, 3 * n, stride)) + [3 * n]
-    curve = [(0.0, 0.0)]
-    for j, u in enumerate(_uniform(steps, 4.0 * eighth)[1:], start=1):
-        s = 4 * k * j
-        chords = [
-            lp_norm(p, (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s])) for i in mid_idx
-        ]
-        curve.append((u, min(chords)))
-    return curve
+    us = _uniform(steps, 4.0 * _chart(p).eighth)
+    return [(0.0, 0.0)] + [(u, min_chord(p, u)) for u in us[1:]]
 
 
 def _uniform(n: int, hi: float) -> list[float]:
@@ -212,22 +178,48 @@ def tangential_chord_profile(
 def verify_min_chord_monotone(
     p: float, grid_size: int = 512, tol: float = 1e-9
 ) -> MonotonicityReport:
-    """Certify that the minimum chord grows with arc length on [0, pi_p].
+    """Certify the arc/chord lemma and that the minimum chord grows with u.
 
-    Samples :func:`min_chord_curve` on a uniform grid and reports the
-    largest drop between consecutive samples.  Certifies non-strict
-    monotonicity up to floating noise only.
+    On the grid u_j = j * pi_p / (grid_size - 1) of :func:`min_chord_curve`,
+    every chord needed joins two points of one arc-length lattice with cells
+    h = E / n, n = 2 (grid_size - 1) ceil(256 / (grid_size - 1)), so each
+    u_j / 2 is a whole number of cells; the lattice is placed once.  For
+    every u_j the midpoints are every r-th lattice point of [0, E],
+    r = max(1, n // 510), plus E itself: at least 510 cells per arc length,
+    linear in grid_size overall.  Two monotonicity facts are checked:
+
+    - the lemma: along each arc length the chord is monotone in the
+      midpoint, increasing for p <= 2 and decreasing for p > 2, so the end
+      chord :func:`min_chord` returns is the least chord of the lattice
+      (at p = 2 the chord is constant up to rounding);
+    - the values of :func:`min_chord_curve` do not drop as u grows.
+
+    max_violation is the largest step against either direction; the
+    reported direction is that in u.  Certifies non-strict monotonicity up
+    to floating noise only.
     """
     p = validate_p(p)
     if grid_size < 64:
         raise DomainError(f"grid must have at least 64 points, got {grid_size}")
-    values = [chord for _, chord in min_chord_curve(p, grid_size)]
+    k = -(-256 // (grid_size - 1))
+    n = 2 * (grid_size - 1) * k
+    xs, ys = _quarter_turn_lattice(p, n)
+    mid_idx = list(range(2 * n, 3 * n, max(1, n // _MID_CELLS))) + [3 * n]
     worst = 0.0
-    for prev, nxt in zip(values, values[1:]):
-        drop = prev - nxt
-        if drop > worst:
-            worst = drop
+    for j in range(1, grid_size):
+        s = 4 * k * j
+        chords = [
+            lp_norm(p, (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s])) for i in mid_idx
+        ]
+        # the lemma's direction, chosen by the same test as min_chord's end
+        worst = max(worst, _largest_drop(chords if p <= 2.0 else chords[::-1]))
+    curve = [chord for _, chord in min_chord_curve(p, grid_size)]
+    worst = max(worst, _largest_drop(curve))
     return MonotonicityReport(p, grid_size, Direction.INCREASING, tol, worst, worst <= tol)
+
+
+def _largest_drop(values: list[float]) -> float:
+    return max([0.0] + [prev - nxt for prev, nxt in zip(values, values[1:])])
 
 
 def verify_tangential_chord_monotone(
@@ -254,9 +246,5 @@ def verify_tangential_chord_monotone(
         direction = Direction.INCREASING
     else:
         direction = Direction.INCREASING if p < 2.0 else Direction.DECREASING
-        worst = 0.0
-        for prev, nxt in zip(values, values[1:]):
-            viol = prev - nxt if direction is Direction.INCREASING else nxt - prev
-            if viol > worst:
-                worst = viol
+        worst = _largest_drop(values if p < 2.0 else values[::-1])
     return MonotonicityReport(p, grid_size, direction, tol, worst, worst <= tol)

@@ -61,8 +61,11 @@ __all__ = [
 _ANGLE_RE = re.compile(r"^(-?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?$")
 
 
-class UsageError(ValueError):
-    """Bad command-line values; mapped to exit code 2."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad command-line values; mapped to exit code 2.
+
+    When an argument type function raises it, argparse prints its message.
+    """
 
 
 def parse_angle(text: str) -> float:
@@ -241,14 +244,7 @@ def cmd_verify(
         )
         cp = worst_case_params(p)
         rep_o = optimality_report(p)
-        # The generic bound is 1 + e_p/2 + min_chord(e_p); read the chord
-        # back from it rather than compute it twice.  At p in {1, inf} the
-        # report holds the weak bound, which does not contain the chord.
-        if rep_o.generic_is_weak:
-            chord = min_chord(p, cp.explored)
-        else:
-            chord = rep_o.generic_lower - (1.0 + 0.5 * cp.explored)
-        chord_gap = abs(chord - cp.separation)
+        chord_gap = abs(min_chord(p, cp.explored) - cp.separation)
         checks.append(
             {
                 "name": "min_chord_equals_critical_separation",

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,11 +27,18 @@ from lpevac import (
     verify_tangential_chord_monotone,
     worst_case_params,
 )
-from lpevac.lp_geometry import _chart, _speed, _ypow
+from lpevac.lp_geometry import _chart, _point_at_arc_from_zero, _speed, _ypow
 
 QUARTER = math.pi / 4
 TWO_PI = 2.0 * math.pi
 QUAD = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=60)
+CURVE_P = (1.001, 1.5, 2.0, 3.0, 10.0, 45.0, INF)
+REFERENCE_P = [
+    row["p"]
+    for row in json.loads(
+        (Path(__file__).parent / "data" / "reference.json").read_text()
+    )["values"]
+]
 
 
 def _count_placements(monkeypatch, p):
@@ -51,6 +60,20 @@ def _count_placements(monkeypatch, p):
         ):
             monkeypatch.setattr(module, "_point_at_arc_from_zero", counting)
     return calls
+
+
+def _scanned_min_chord(p, u):
+    # Independent of the arc/chord lemma: the least chord over 513 arc
+    # midpoints m = i E / 512 on [0, E], each placing both endpoints m -/+ u/2.
+    eighth = _chart(p).eighth
+    half = 0.5 * min(u, 8.0 * eighth - u)
+    best = math.inf
+    for i in range(513):
+        m = eighth * i / 512
+        a = _point_at_arc_from_zero(p, m + half).point
+        b = _point_at_arc_from_zero(p, m - half).point
+        best = min(best, lp_norm(p, (a.x - b.x, a.y - b.y)))
+    return best
 
 
 class TestChordOfArc:
@@ -175,20 +198,34 @@ class TestMinChord:
     def test_places_two_points_per_midpoint(self, p, monkeypatch):
         calls = _count_placements(monkeypatch, p)
         min_chord(p, 1.0)
-        assert calls[0] == 2 * 513  # both endpoints of each scanned midpoint
+        assert calls[0] == 2  # both endpoints of the one end-chord midpoint
 
 
 class TestMinChordCurve:
-    @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0, 10.0, 45.0, INF])
-    @pytest.mark.parametrize("steps", [64, 65, 96, 256])
-    def test_matches_min_chord_per_arc_length(self, p, steps):
-        # odd (63, 95, 255) and even (64) steps - 1: lattices of 630, 512,
-        # 570 and 1020 cells, scanned with strides 1, 1, 1 and 2
+    """min_chord_curve, and the lattice that certifies it."""
+
+    @pytest.mark.parametrize(
+        "steps,p",
+        [(steps, p) for steps in (64, 65, 96, 256) for p in CURVE_P]
+        + [(64, p) for p in REFERENCE_P if p not in CURVE_P],
+    )
+    def test_matches_min_chord_per_arc_length(self, steps, p):
+        # Every value against the least chord of an independent 513-midpoint
+        # scan, for every fixture p and inf; CURVE_P also at denser grids.
+        # At p = 2 every chord of one length is the same up to rounding.
         curve = min_chord_curve(p, steps)
         assert len(curve) == steps
         assert curve[0] == (0.0, 0.0)
+        tol = 5e-14 if p == 2.0 else 2e-15
         for u, chord in curve[1:]:
-            assert chord == pytest.approx(min_chord(p, u), abs=1e-12)
+            assert abs(chord - _scanned_min_chord(p, u)) <= tol
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, INF])
+    @pytest.mark.parametrize("steps", [64, 256])
+    def test_places_two_points_per_arc_length(self, p, steps, monkeypatch):
+        calls = _count_placements(monkeypatch, p)
+        min_chord_curve(p, steps)
+        assert calls[0] == 2 * (steps - 1)
 
     def test_arc_lengths_are_uniform_to_pi_p(self):
         curve = min_chord_curve(3.0, 65)
@@ -199,10 +236,11 @@ class TestMinChordCurve:
 
     @pytest.mark.parametrize("steps", [64, 510, 1024])
     def test_chord_evaluations_per_arc_length_stay_bounded(self, steps, monkeypatch):
-        # The scan takes every r-th lattice midpoint, so the chords per arc
-        # length are the scanned midpoints alone: 631, 1019 (the most at any
-        # grid) and 513 here; a lattice scanned without the stride would need
-        # about 2100 per u at steps = 1024.
+        # verify_min_chord_monotone takes every r-th lattice midpoint, so the
+        # lattice chords per arc length are the scanned midpoints alone: 631,
+        # 1019 (the most at any grid) and 513 here, plus the curve's one; a
+        # lattice scanned without the stride would need about 2100 per u at
+        # steps = 1024.
         import lpevac.chord_arc as chord_arc
         import lpevac.lp_geometry as geo
 
@@ -215,18 +253,19 @@ class TestMinChordCurve:
 
         for module in (geo, chord_arc):  # every module that holds lp_norm
             monkeypatch.setattr(module, "lp_norm", counting)
-        min_chord_curve(1.5, steps)
-        assert calls[0] / (steps - 1) <= 1019
+        verify_min_chord_monotone(1.5, steps)
+        assert calls[0] / (steps - 1) <= 1019 + 1
 
     @pytest.mark.parametrize("p", [1.5, 3.0, INF])
     @pytest.mark.parametrize("steps", [64, 256])
     def test_places_only_the_lattice(self, p, steps, monkeypatch):
-        # 2n points, n = 2 (steps - 1) ceil(256 / (steps - 1)): the first
-        # quadrant of the lattice and nothing else
+        # verify_min_chord_monotone places 2n points, n = 2 (steps - 1)
+        # ceil(256 / (steps - 1)): the first quadrant of the lattice, and
+        # nothing else but the curve's 2 (steps - 1)
         calls = _count_placements(monkeypatch, p)
-        min_chord_curve(p, steps)
+        verify_min_chord_monotone(p, steps)
         n = 2 * (steps - 1) * -(-256 // (steps - 1))
-        assert calls[0] == 2 * n
+        assert calls[0] == 2 * n + 2 * (steps - 1)
 
     def test_rejects_single_step(self):
         with pytest.raises(DomainError):
@@ -248,6 +287,26 @@ class TestVerifyMinChordMonotone:
     def test_grid_floor(self):
         with pytest.raises(DomainError):
             verify_min_chord_monotone(2.0, 32, 1e-9)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_lemma_sees_one_interior_drop(self, p, monkeypatch):
+        # Lower by 1e-6 the lattice chord at midpoint E / 2 of the shortest
+        # grid arc length.  The row stays above its end chord, so the least
+        # chord per arc length, and the curve, do not move: only the lemma
+        # check sees it.  Grid 64: 630 cells, 631 midpoints per arc length.
+        import lpevac.chord_arc as chord_arc
+
+        calls = [0]
+        norm = chord_arc.lp_norm
+
+        def dropping(p, v):
+            calls[0] += 1
+            return norm(p, v) - (1e-6 if calls[0] == 316 else 0.0)
+
+        monkeypatch.setattr(chord_arc, "lp_norm", dropping)
+        rep = verify_min_chord_monotone(p, 64)
+        assert not rep.passed
+        assert rep.max_violation == pytest.approx(1e-6, rel=0.05)
 
 
 class TestVerifyTangentialChordMonotone:

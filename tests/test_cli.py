@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import pytest
 
@@ -184,24 +183,6 @@ class TestCmdVerify:
         with pytest.raises(UsageError):
             cmd_verify([])
 
-    def test_min_chord_computed_once_per_p(self, monkeypatch):
-        import lpevac.chord_arc as chord_arc
-
-        calls = []
-        original = chord_arc.min_chord
-
-        def counting(p, u):
-            calls.append(p)
-            return original(p, u)
-
-        holders = [m for name, m in sys.modules.items() if name.startswith("lpevac")]
-        for module in holders:  # every module that holds min_chord
-            if getattr(module, "min_chord", None) is original:
-                monkeypatch.setattr(module, "min_chord", counting)
-        code, _ = cmd_verify([3.0], grid=64)
-        assert code == 0
-        assert calls == [3.0]
-
 
 class TestCmdSimulate:
     def test_known_cost_six(self):
@@ -275,6 +256,24 @@ class TestMainEntry:
     @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
     def test_simulate_non_finite_angle_exit_two(self, angle, capsys):
         assert _exit_code(["simulate", "2", "0", angle]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate", "2", "0", "nan"], "angle must be finite"),
+            (["simulate", "2", "0", "--", "-inf"], "angle must be finite"),
+            (["verify", "2", "--tol", "nan"], "tolerance must be finite"),
+        ],
+    )
+    def test_bad_value_reports_its_message(self, argv, message, capsys):
+        assert _exit_code(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_angle_after_separator(self, capsys):
+        assert main(["simulate", "2", "0", "--", "-pi/4"]) == 0
+        negative = capsys.readouterr().out
+        assert main(["simulate", "2", "0", "7pi/4"]) == 0
+        assert capsys.readouterr().out == negative
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("flag", ["--tol", "--gap-tol", "--chord-tol"])
