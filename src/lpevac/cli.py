@@ -231,14 +231,13 @@ def cmd_verify(
                 "tolerance": tol,
             }
         )
-        sigma_tol = 1e-6 if p == 2.0 else tol
-        rep_s = verify_tangential_chord_monotone(p, grid, sigma_tol)
+        rep_s = verify_tangential_chord_monotone(p, grid, tol)
         checks.append(
             {
                 "name": "tangential_chord_monotone",
                 "passed": rep_s.passed,
                 "max_violation": rep_s.max_violation,
-                "tolerance": sigma_tol,
+                "tolerance": tol,
                 "direction": rep_s.direction.value,
             }
         )

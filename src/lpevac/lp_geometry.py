@@ -13,9 +13,13 @@ Arc length is measured in the l_p metric itself.  The chart speed diverges
 as |s| -> 1, so every integral here is folded into the chart segment
 s in [0, 2^(-1/p)] using the reflection symmetries of C_p (the lines y=0,
 x=0, y=x, y=-x all map C_p to itself); the singular region is never
-evaluated.  Per-p cumulative arc length tables make arc-length evaluation
-and inversion cheap enough for dense sweeps.  The module-level caches of
-tables and of pi_p hold a fixed number of entries and drop the oldest on
+evaluated.  A per-p chart of H, the arc length from 0 on that segment,
+makes arc-length evaluation and inversion cheap enough for dense sweeps: it
+cuts the segment into a few to a few dozen panels, each carrying the
+Chebyshev series of the integral of the speed, so evaluating H is one
+Clenshaw sum and inverting it a few Newton steps.  pi_p itself comes from
+the independent adaptive quadrature.  The module-level caches of charts
+and of pi_p hold a fixed number of entries and drop the oldest on
 insert.  Rebuilding an entry is deterministic and inserts take a lock, so
 the caches are safe under concurrent use.
 """
@@ -23,11 +27,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import threading
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
-from .numerics import Tolerance, _gk15, integrate_adaptive
+from .numerics import Tolerance, integrate_adaptive
 
 __all__ = [
     "INF",
@@ -200,6 +206,13 @@ def _fold_limit(p: float) -> float:
     return 2.0 ** (-1.0 / p)
 
 
+def _knee(p: float) -> float:
+    # For large p the speed stays near 1 until it rises to 2^(1/p) within
+    # about 1/(2 p^2) of the fold; a break point at this knee lets the
+    # quadrature and the chart resolve the rise.
+    return _fold_limit(p) * math.exp(-40.0 / (p * p))
+
+
 def _quarter_arc_integral(p: float, upper: float) -> float:
     """Arc length of the chart from 0 to ``upper`` <= fold limit, one shot."""
     if upper <= 0.0:
@@ -209,19 +222,16 @@ def _quarter_arc_integral(p: float, upper: float) -> float:
     if math.isinf(p):
         return upper
     speed = lambda z: _speed(p, z)
-    # For large p the speed stays near 1 until it rises to 2^(1/p) within
-    # about 1/(2 p^2) of the fold, where a first panel over the whole
-    # segment sees nothing of it; a break point at that knee lets the
-    # adaptive quadrature resolve it.
-    knee = _fold_limit(p) * math.exp(-40.0 / (p * p))
+    knee = _knee(p)
     if p <= 4.0 or upper <= knee:
         return integrate_adaptive(speed, 0.0, upper, _QUAD_TOL)
     head = integrate_adaptive(speed, 0.0, knee, _QUAD_TOL)
     return head + integrate_adaptive(speed, knee, upper, _QUAD_TOL)
 
 
-# Per-p caches, bounded.  A chart table holds about 196 KiB; 16 of them
-# cover a sweep that cycles through a handful of p without rebuilding.
+# Per-p caches, bounded.  A chart holds a few KiB, up to about 30 KiB near
+# p = 1 where it has a few dozen panels; 16 of them cover a sweep that
+# cycles through a handful of p without rebuilding.
 _CHART_CACHE_SIZE = 16
 _PERIMETER_CACHE_SIZE = 1024
 _CACHE_LOCK = threading.Lock()
@@ -253,52 +263,124 @@ def half_perimeter(p: float) -> float:
     return cached
 
 
-def _smoothstep(u: float) -> float:
-    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+# Chebyshev panels of the chart.  A panel samples the speed at the _DEG + 1
+# Chebyshev-Lobatto nodes cos(pi j / _DEG), j = 0 .. _DEG, of its interval
+# mapped onto [-1, 1]; row k of _DCT turns those samples into the
+# coefficient of T_k of the interpolating series.
+_DEG = 16
+_NODES = tuple(math.cos(math.pi * j / _DEG) for j in range(_DEG + 1))
+_DCT = tuple(
+    tuple(
+        (0.5 if k in (0, _DEG) else 1.0)
+        * (0.5 if j in (0, _DEG) else 1.0)
+        * (2.0 / _DEG)
+        * math.cos(math.pi * (j * k % (2 * _DEG)) / _DEG)
+        for j in range(_DEG + 1)
+    )
+    for k in range(_DEG + 1)
+)
+_EPS = sys.float_info.epsilon
+# A panel is resolved when its last two coefficients times its width, a
+# bound on its error in H, fall below this fraction of the fold.
+_TAIL_TOL = 1e-15
+
+
+def _speed_series(p: float, a: float, b: float, fold: float):
+    """Chebyshev coefficients of the speed on [a, b], or None if unresolved.
+
+    The tail test has a rounding floor: where the speed is steep in ulps
+    of z (large p, near the fold), rounding the nodes alone perturbs the
+    samples by about eps * b * |slope|, and no bisection gets below that.
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    f = [_speed(p, b)]
+    f += [_speed(p, mid + half * t) for t in _NODES[1:_DEG]]
+    f.append(_speed(p, a))
+    # Every row but the first sums to zero, so subtracting f[0] changes no
+    # coefficient mathematically and makes a constant speed exact.
+    f0 = f[0]
+    d = [v - f0 for v in f]
+    tail = max(abs(sum(map(mul, _DCT[_DEG - 1], d))), abs(sum(map(mul, _DCT[_DEG], d))))
+    floor = 8.0 * _EPS * b * abs(f0 - f[_DEG]) / (b - a)
+    if tail > max(_TAIL_TOL * fold / (b - a), floor):
+        return None
+    c = [sum(map(mul, row, d)) for row in _DCT]
+    c[0] += f0
+    return c
+
+
+def _clenshaw(coef_desc, t: float) -> float:
+    # Sum of c_k T_k(t), coefficients given from the highest degree down.
+    t2 = t + t
+    b1 = b2 = 0.0
+    for ck in coef_desc:
+        b1, b2 = ck + t2 * b1 - b2, b1
+    return b1 - t * b2
 
 
 class _Chart:
-    """Cumulative arc length table on the folded chart segment [0, X].
+    """Arc length H on the folded chart segment [0, fold], in Chebyshev panels.
 
-    Nodes cluster at both ends of the segment (the only places the speed has
-    limited smoothness), exact speeds serve as Hermite slopes, and each cell
-    integral comes from a single Gauss-Kronrod panel.  ``eighth`` is the arc
-    length of one eighth of C_p, i.e. pi_p / 4.
+    The build bisects [0, fold] until the Chebyshev series of the speed on
+    each panel is resolved (see :func:`_speed_series`) and integrates each
+    series once, so ``arc`` is a bisection over the panel ends and one
+    Clenshaw sum of the panel's antiderivative, and ``x_at`` is Newton on
+    that sum with the exact speed as the slope.  The knee is a break point
+    for 4 < p < inf.  For p (p - 1) < 1 the speed behaves like z^(p^2 - p)
+    at 0 and the panels are graded toward z = 0: a panel is split at the
+    geometric mean of its ends, the first one at 1/16 of its width.
+    ``xs`` holds the panel ends, ``lam`` the values of H there; ``eighth``,
+    the last of them, is the arc length of one eighth of C_p, i.e. pi_p / 4.
     """
 
-    N_CELLS = 2048
-
-    __slots__ = ("p", "fold", "xs", "vs", "lam", "eighth")
+    __slots__ = ("p", "fold", "xs", "lam", "panels", "eighth")
 
     def __init__(self, p: float):
         self.p = p
-        self.fold = _fold_limit(p)
-        n = self.N_CELLS
-        xs = [self.fold * _smoothstep(i / n) for i in range(n + 1)]
-        xs[n] = self.fold
-        vs = [_speed(p, x) for x in xs]
-        lam = [0.0] * (n + 1)
-        acc = 0.0
-        speed = lambda z: _speed(p, z)
-        for i in range(n):
-            acc += _gk15(speed, xs[i], xs[i + 1])[0]
-            lam[i + 1] = acc
+        self.fold = fold = _fold_limit(p)
+        graded = p * (p - 1.0) < 1.0
+        knee = _knee(p)
+        todo = [(0.0, fold)]
+        if p > 4.0 and knee < fold:  # the knee rounds to the fold at p = inf
+            todo = [(knee, fold), (0.0, knee)]
+        xs = [0.0]
+        lam = [0.0]
+        panels = []
+        while todo:
+            a, b = todo.pop()
+            c = _speed_series(p, a, b, fold)
+            if c is None:
+                if not graded:
+                    s = 0.5 * (a + b)
+                else:
+                    s = math.sqrt(a * b) if a > 0.0 else b / 16.0
+                todo += [(s, b), (a, s)]
+                continue
+            # Coefficients of the integral from a, in x: T_k integrates to
+            # T_(k+1) / (2 (k+1)) - T_(k-1) / (2 (k-1)), and dx = half dt.
+            half = 0.5 * (b - a)
+            speed_a = sum(c[0::2]) - sum(c[1::2])
+            speed_b = sum(c)
+            c += [0.0, 0.0]
+            anti = [0.0, half * (c[0] - 0.5 * c[2])]
+            anti += [half * (c[k - 1] - c[k + 1]) / (2 * k) for k in range(2, _DEG + 2)]
+            odd = sum(anti[1::2])
+            anti[0] = odd - sum(anti[2::2])  # zero at t = -1
+            width = 2.0 * odd
+            lam.append(lam[-1] + width)
+            # Terms below 1/64 ulp of H change no sum; drop them from the top.
+            while len(anti) > 2 and abs(anti[-1]) <= _EPS * lam[-1] / 64.0:
+                anti.pop()
+            # x_at starts from the cubic Hermite inverse of H on the panel;
+            # its end slopes relative to the chord are mean speed / speed.
+            mean = width / (b - a)
+            panels.append((a, half, mean / speed_a - 1.0, mean / speed_b - 1.0, anti[::-1]))
+            xs.append(b)
         self.xs = xs
-        self.vs = vs
         self.lam = lam
-        self.eighth = acc
-
-    def _hermite(self, i: int, x: float) -> float:
-        x0 = self.xs[i]
-        h = self.xs[i + 1] - x0
-        t = (x - x0) / h
-        t2 = t * t
-        t3 = t2 * t
-        return (
-            self.lam[i] * (2.0 * t3 - 3.0 * t2 + 1.0)
-            + self.lam[i + 1] * (3.0 * t2 - 2.0 * t3)
-            + h * (self.vs[i] * (t3 - 2.0 * t2 + t) + self.vs[i + 1] * (t3 - t2))
-        )
+        self.panels = panels
+        self.eighth = lam[-1]
 
     def arc(self, x: float) -> float:
         """H(x): arc length from the chart origin to x in [0, fold]."""
@@ -307,56 +389,50 @@ class _Chart:
         if x >= self.fold:
             return self.eighth
         i = bisect.bisect_right(self.xs, x) - 1
-        if i >= self.N_CELLS:
-            i = self.N_CELLS - 1
-        return self._hermite(i, x)
+        a, half, _, _, coef = self.panels[i]
+        return self.lam[i] + _clenshaw(coef, (x - a) / half - 1.0)
 
     def x_at(self, target: float) -> float:
-        """Inverse of :meth:`arc`, solved per cell with safeguarded Newton."""
+        """Inverse of :meth:`arc`: safeguarded Newton on one panel's series."""
         if target <= 0.0:
             return 0.0
         if target >= self.eighth:
             return self.fold
         i = bisect.bisect_right(self.lam, target) - 1
-        if i >= self.N_CELLS:
-            i = self.N_CELLS - 1
-        x0 = self.xs[i]
-        x1 = self.xs[i + 1]
-        h = x1 - x0
-        l0 = self.lam[i]
-        l1 = self.lam[i + 1]
-        v0 = self.vs[i]
-        v1 = self.vs[i + 1]
-        t = (target - l0) / (l1 - l0)
-        tlo, thi = 0.0, 1.0
+        a, half, bend_a, bend_b, coef = self.panels[i]
+        want = target - self.lam[i]
+        s = want / (self.lam[i + 1] - self.lam[i])
+        t = 2.0 * (s + s * (1.0 - s) * (bend_a * (1.0 - s) - bend_b * s)) - 1.0
+        tlo, thi = -1.0, 1.0
+        prev = 0.0
         for _ in range(64):
-            t2 = t * t
-            t3 = t2 * t
-            val = (
-                l0 * (2.0 * t3 - 3.0 * t2 + 1.0)
-                + l1 * (3.0 * t2 - 2.0 * t3)
-                + h * (v0 * (t3 - 2.0 * t2 + t) + v1 * (t3 - t2))
-                - target
-            )
-            if abs(val) <= 4e-16 * self.eighth:
-                break
+            val = _clenshaw(coef, t) - want
             if val > 0.0:
                 thi = t
-            else:
+            elif val < 0.0:
                 tlo = t
-            # derivative with respect to t (equals h * interpolated speed > 0)
-            dh_dt = (
-                l0 * (6.0 * t2 - 6.0 * t)
-                + l1 * (6.0 * t - 6.0 * t2)
-                + h * (v0 * (3.0 * t2 - 4.0 * t + 1.0) + v1 * (3.0 * t2 - 2.0 * t))
-            )
-            tn = t - val / dh_dt if dh_dt > 0.0 else 0.5 * (tlo + thi)
-            if not tlo < tn < thi:
-                tn = 0.5 * (tlo + thi)
-            if tn == t:
+            else:
                 break
+            tn = t - val / (half * _speed(self.p, a + half * (t + 1.0)))
+            # Stop on the step, not on the residual, which would chase
+            # rounding noise.  Newton converges quadratically, so a step d
+            # after a Newton step prev leaves about d^3 / prev^2: stop once
+            # that is below eps too.
+            step = abs(tn - t)
+            if step <= 4.0 * _EPS:
+                break  # t stays in the bracket; tn is t up to rounding
+            if tlo < tn < thi:
+                if step * step * step <= _EPS * prev * prev:
+                    t = tn
+                    break
+                prev = step
+            else:
+                if thi - tlo <= 4.0 * _EPS:
+                    break
+                tn = 0.5 * (tlo + thi)
+                prev = 0.0
             t = tn
-        return x0 + h * t
+        return a + half * (t + 1.0)
 
 
 _CHART_CACHE: dict[float, _Chart] = {}

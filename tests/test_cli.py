@@ -175,6 +175,15 @@ class TestCmdVerify:
         assert checks["tangential_chord_monotone"]["passed"]
         assert checks["tangential_chord_monotone"]["max_violation"] <= 1e-6
 
+    def test_euclidean_profile_checked_at_common_tolerance(self):
+        # p = 2 gets the same tolerance as every other p; its profile's
+        # range is rounding (7.5e-15 at grid 256)
+        code, report = cmd_verify([2.0], 256)
+        assert code == 0
+        checks = {c["name"]: c for c in report["results"][0]["checks"]}
+        check = checks["tangential_chord_monotone"]
+        assert check["tolerance"] == 1e-9 and check["passed"]
+
     def test_impossible_tolerance_fails(self):
         code, report = cmd_verify([1.5], grid=96, gap_tol=1e-18)
         assert code == 1 and not report["passed"]

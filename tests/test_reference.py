@@ -1,15 +1,18 @@
-"""pi_p, e_p, gamma_p and the worst-case cost against a high-precision fixture.
+"""pi_p, e_p, gamma_p, the worst-case cost and the chart's arc length H
+against a high-precision fixture and the independent quadrature.
 
 ``tests/data/reference.json`` holds mpmath values at 20 digits, written by
 ``tools/make_reference.py``; this module reads only the JSON.
 """
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from lpevac import half_perimeter, min_chord, worst_case_cost, worst_case_params
-from lpevac.lp_geometry import _chart
+from lpevac import lp_geometry
+from lpevac.lp_geometry import _QUAD_TOL, _Chart, _chart, _quarter_arc_integral
 
 REL_TOL = 1e-12
 ROWS = json.loads((Path(__file__).parent / "data" / "reference.json").read_text())["values"]
@@ -44,3 +47,45 @@ class TestAgainstReference:
     def test_chart_agrees_with_quadrature(self, row):
         p = row["p"]
         assert _rel(4.0 * _chart(p).eighth, half_perimeter(p)) <= REL_TOL
+
+    def test_chart_arc_at_interior_points(self, row):
+        ch = _chart(row["p"])
+        for x, ref in row["arc"]:
+            assert abs(ch.arc(x) - ref) <= 1e-15 * ch.eighth
+
+
+@pytest.mark.parametrize("p", [row["p"] for row in ROWS] + [1.0, math.inf], ids=lambda p: f"p={p}")
+class TestChart:
+    def test_arc_agrees_with_quadrature(self, p):
+        # The quadrature meets its own target max(abs_tol, rel_tol * H), not
+        # more: near p = 1 it is 1.7e-13 off the fixture's H, where the chart
+        # is within 2e-16 (test_chart_arc_at_interior_points).
+        ch = _chart(p)
+        for k in range(1, 65):
+            x = ch.fold * k / 65
+            quad = _quarter_arc_integral(p, x)
+            assert abs(ch.arc(x) - quad) <= max(_QUAD_TOL.abs_tol, _QUAD_TOL.rel_tol * quad)
+
+    def test_x_at_inverts_arc(self, p):
+        ch = _chart(p)
+        for k in range(1, 65):
+            lam = ch.eighth * k / 65
+            assert abs(ch.arc(ch.x_at(lam)) - lam) <= 1e-15 * ch.eighth
+
+    def test_build_evaluates_speed_at_most_4096_times(self, p, monkeypatch):
+        # The 2048-cell Hermite table it replaced took 32,769 evaluations.
+        calls = []
+        speed = lp_geometry._speed
+
+        def counted(p, z):
+            calls.append(z)
+            return speed(p, z)
+
+        monkeypatch.setattr(lp_geometry, "_speed", counted)
+        _Chart(p)
+        assert 0 < len(calls) <= 4096
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_straight_chart_eighth_is_exact(p):
+    assert _chart(p).eighth == 1.0

@@ -3,8 +3,10 @@
 For each p of ``P_VALUES`` the fixture holds pi_p, the worst-case explored
 measure e_p, the separation gamma_p and the worst-case cost, evaluated with
 mpmath at 20 significant digits by the benchmark's reference formulas
-(``perfbench/reference.py``), which are independent of the program.  The
-tier-1 tests read only the JSON, so they need no mpmath.
+(``perfbench/reference.py``), which are independent of the program.  It also
+holds the chart arc length H(x) at ``ARC_POINTS`` interior points x of the
+folded chart segment [0, 2^(-1/p)], as ``[x, H(x)]`` pairs.  The tier-1
+tests read only the JSON, so they need no mpmath.
 
 Run from anywhere with ``python3 tools/make_reference.py``; it takes about a
 second and rewrites the fixture in place.
@@ -18,9 +20,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from reference import DPS, critical_ref, pi_ref  # noqa: E402
+import mpmath as mp  # noqa: E402
+from reference import DPS, _arc, critical_ref, pi_ref  # noqa: E402
 
 P_VALUES = (1.001, 1.0625, 1.5, 2.0, 3.0, 10.0, 45.0, 50.5, 100.0, 200.0, 500.0, 1000.0, 10000.0)
+ARC_POINTS = 7  # x = fold * k / 8, k = 1 .. 7
 OUT = ROOT / "tests" / "data" / "reference.json"
 
 
@@ -30,6 +34,10 @@ def build() -> dict:
         row = {"p": p, **critical_ref(p)}
         if row["pi"] != pi_ref(p):
             raise ArithmeticError(f"pi_p at p={p}: {row['pi']} vs {pi_ref(p)}")
+        fold = 2.0 ** (-1.0 / p)
+        xs = [fold * k / (ARC_POINTS + 1) for k in range(1, ARC_POINTS + 1)]
+        with mp.workdps(DPS):
+            row["arc"] = [[x, float(_arc(mp.mpf(p), mp.mpf(x)))] for x in xs]
         rows.append(row)
     return {"source": "perfbench/reference.py (mpmath)", "dps": DPS, "values": rows}
 
