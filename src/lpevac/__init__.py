@@ -12,7 +12,6 @@ from .chord_arc import (
     ChordArcSample,
     Direction,
     MonotonicityReport,
-    chord_of_arc,
     min_chord,
     min_chord_curve,
     tangential_chord,
@@ -44,14 +43,9 @@ from .lower_bound import (
 )
 from .lp_geometry import (
     INF,
-    ArcSpec,
     CirclePoint,
     DomainError,
     Point2,
-    arc_distance,
-    arc_length,
-    chart_point,
-    chart_speed,
     chord_length,
     half_perimeter,
     lp_norm,
@@ -62,7 +56,6 @@ from .lp_geometry import (
 from .numerics import (
     BracketedRoot,
     BracketError,
-    DEFAULT_TOL,
     IntegrationError,
     Tolerance,
     find_root_bracketed,
@@ -78,7 +71,6 @@ __all__ = [
     "BracketedRoot",
     "BracketError",
     "IntegrationError",
-    "DEFAULT_TOL",
     "integrate_adaptive",
     "find_root_bracketed",
     "maximize_1d",
@@ -87,16 +79,11 @@ __all__ = [
     "DomainError",
     "Point2",
     "CirclePoint",
-    "ArcSpec",
     "validate_p",
     "lp_norm",
     "unit_circle_point",
-    "chart_point",
-    "chart_speed",
     "half_perimeter",
-    "arc_length",
     "point_at_arc_length",
-    "arc_distance",
     "chord_length",
     # evacuation
     "Branch",
@@ -117,7 +104,6 @@ __all__ = [
     "Direction",
     "ChordArcSample",
     "MonotonicityReport",
-    "chord_of_arc",
     "tangential_chord",
     "tangential_chord_profile",
     "min_chord",

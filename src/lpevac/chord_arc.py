@@ -28,14 +28,10 @@ from typing import Optional
 from .evacuation import AlgoParams, separation, worst_case_params
 from .lp_geometry import (
     QUARTER_PI,
-    ArcSpec,
     DomainError,
     _chart,
     _point_at_arc_from_zero,
-    chord_length,
     lp_norm,
-    point_at_arc_length,
-    unit_circle_point,
     validate_p,
 )
 
@@ -43,7 +39,6 @@ __all__ = [
     "Direction",
     "ChordArcSample",
     "MonotonicityReport",
-    "chord_of_arc",
     "tangential_chord",
     "tangential_chord_profile",
     "min_chord",
@@ -79,19 +74,6 @@ class MonotonicityReport:
     tol: float
     max_violation: float
     passed: bool
-
-
-def chord_of_arc(p: float, arc: ArcSpec) -> float:
-    """Chord length spanned by the arc: distance between its endpoints."""
-    p = validate_p(p)
-    total = 8.0 * _chart(p).eighth
-    if not 0.0 <= arc.length < total + 1e-9:
-        raise DomainError(f"arc length {arc.length} outside [0, 2*pi_p)")
-    if arc.length == 0.0:
-        return 0.0
-    a = unit_circle_point(p, arc.start_phi)
-    b = point_at_arc_length(p, arc.start_phi, min(arc.length, total))
-    return chord_length(p, a.point, b.point)
 
 
 def tangential_chord(p: float, theta: float, arc_len: float) -> float:

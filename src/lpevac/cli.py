@@ -28,7 +28,6 @@ from .chord_arc import (
 from .evacuation import (
     AlgoParams,
     EvacOutcome,
-    evac_time,
     separation,
     simulate_exit,
     worst_case_cost,

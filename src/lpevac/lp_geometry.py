@@ -6,8 +6,8 @@ circle C_p is parametrized two ways:
 
 * by angle, ``unit_circle_point(p, phi)`` = (cos(phi), sin(phi)) scaled onto
   C_p (the generalized sine/cosine construction), and
-* by an algebraic chart, ``chart_point(p, s)`` = (-s, (1 - |s|^p)^(1/p)),
-  which covers the upper half of C_p for s in [-1, 1].
+* by the algebraic chart s -> (-s, (1 - |s|^p)^(1/p)), which covers the
+  upper half of C_p for s in [-1, 1] and finite p.
 
 Arc length is measured in the l_p metric itself.  The chart speed diverges
 as |s| -> 1, so every integral here is folded into the chart segment
@@ -29,7 +29,6 @@ import bisect
 import math
 import sys
 import threading
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
@@ -40,16 +39,11 @@ __all__ = [
     "DomainError",
     "Point2",
     "CirclePoint",
-    "ArcSpec",
     "validate_p",
     "lp_norm",
     "unit_circle_point",
-    "chart_point",
-    "chart_speed",
     "half_perimeter",
-    "arc_length",
     "point_at_arc_length",
-    "arc_distance",
     "chord_length",
 ]
 
@@ -78,22 +72,6 @@ class CirclePoint(NamedTuple):
     point: Point2
 
 
-@dataclass(frozen=True)
-class ArcSpec:
-    """A counter-clockwise arc of C_p: start angle plus arc length >= 0."""
-
-    p: float
-    start_phi: float
-    length: float
-
-    def midpoint(self) -> "CirclePoint":
-        return point_at_arc_length(self.p, self.start_phi, 0.5 * self.length)
-
-    def tangential_angle(self) -> float:
-        """Angle of the arc midpoint, in [0, 2*pi)."""
-        return self.midpoint().phi
-
-
 def validate_p(p: float) -> float:
     p = float(p)
     if math.isnan(p) or p < 1.0:
@@ -117,24 +95,13 @@ def lp_norm(p: float, v: Point2) -> float:
     return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
 
 
-def _angular_scale(p: float, phi: float) -> float:
-    # N_p(phi) = (|sin phi|^p + |cos phi|^p)^(1/p), max norm for p = inf.
-    s = abs(math.sin(phi))
-    c = abs(math.cos(phi))
-    if math.isinf(p):
-        return s if s > c else c
-    if p == 1.0:
-        return s + c
-    m = s if s > c else c
-    return m * ((s / m) ** p + (c / m) ** p) ** (1.0 / p)
-
-
 def unit_circle_point(p: float, phi: float) -> CirclePoint:
     """Point of C_p on the ray of angle phi (angle reduced mod 2*pi)."""
     p = validate_p(p)
     phi = _reduce_angle(phi)
-    n = _angular_scale(p, phi)
-    return CirclePoint(phi, Point2(math.cos(phi) / n, math.sin(phi) / n))
+    c, s = math.cos(phi), math.sin(phi)
+    n = lp_norm(p, (c, s))
+    return CirclePoint(phi, Point2(c / n, s / n))
 
 
 def _ypow(p: float, x: float) -> float:
@@ -153,18 +120,13 @@ def _ypow(p: float, x: float) -> float:
     return math.exp(math.log(omxp) / p)
 
 
-def chart_point(p: float, s: float) -> Point2:
-    """Upper-half chart (-s, (1 - |s|^p)^(1/p)) for s in [-1, 1], finite p."""
-    p = validate_p(p)
-    if math.isinf(p):
-        raise DomainError("the algebraic chart is defined for finite p")
-    if not -1.0 <= s <= 1.0:
-        raise DomainError(f"chart coordinate must lie in [-1, 1], got {s}")
-    return Point2(-s, _ypow(p, s))
-
-
 def _speed(p: float, z: float) -> float:
-    # Unchecked core of chart_speed; p already validated, z in [0, 1).
+    """l_p speed of the chart at z in [0, 1): (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p).
+
+    Constant 2 for p = 1 (the diamond) and constant 1 for p = inf (the
+    square).  Evaluated in log space so that large p cannot overflow.
+    Unchecked: p must be valid and z in [0, 1).
+    """
     if p == 1.0:
         return 2.0
     if math.isinf(p):
@@ -180,20 +142,6 @@ def _speed(p: float, z: float) -> float:
     else:
         soft = math.log1p(math.exp(lg))
     return math.exp(soft / p)
-
-
-def chart_speed(p: float, z: float) -> float:
-    """l_p speed of the chart at z in [0, 1): (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p).
-
-    Constant 2 for p = 1 (the diamond) and constant 1 for p = inf (the
-    square).  Evaluated in log space so that large p cannot overflow.
-    """
-    p = validate_p(p)
-    if not 0.0 <= z < 1.0:
-        if z == 1.0 and (p == 1.0 or math.isinf(p)):
-            return 2.0 if p == 1.0 else 1.0
-        raise DomainError(f"chart speed needs z in [0, 1), got {z}")
-    return _speed(p, z)
 
 
 def _fold_limit(p: float) -> float:
@@ -332,13 +280,21 @@ class _Chart:
     geometric mean of its ends, the first one at 1/16 of its width.
     ``xs`` holds the panel ends, ``lam`` the values of H there; ``eighth``,
     the last of them, is the arc length of one eighth of C_p, i.e. pi_p / 4.
+
+    Where the fold 2^(-1/p) rounds to 1 (p above ln 2 * 2^54, about
+    1.25e16) the speed and the height are singular at the fold end, while
+    every double-precision chart quantity equals the square's.  The chart
+    is then built for p = inf and ``p`` holds inf, so the height of a chart
+    point is ``_ypow(chart.p, x)``.
     """
 
     __slots__ = ("p", "fold", "xs", "lam", "panels", "eighth")
 
     def __init__(self, p: float):
-        self.p = p
         self.fold = fold = _fold_limit(p)
+        if fold == 1.0:
+            p = INF
+        self.p = p
         graded = p * (p - 1.0) < 1.0
         knee = _knee(p)
         todo = [(0.0, fold)]
@@ -446,15 +402,6 @@ def _chart(p: float) -> _Chart:
     return ch
 
 
-def _sin_scaled(p: float, t: float) -> float:
-    # sin_p(t) for t in [0, pi/4]; lands in [0, fold limit].
-    return math.sin(t) / _angular_scale(p, t)
-
-
-def _cos_scaled(p: float, t: float) -> float:
-    return math.cos(t) / _angular_scale(p, t)
-
-
 def _arc_from_zero(p: float, phi: float) -> float:
     """Arc length along C_p from angle 0 to angle phi in [0, 2*pi)."""
     ch = _chart(p)
@@ -462,10 +409,14 @@ def _arc_from_zero(p: float, phi: float) -> float:
     if k > 3:
         k = 3
     t = phi - k * HALF_PI
+    # The point of C_p at angle t is (c, s) / n; the smaller of its
+    # coordinates lies in [0, fold limit].
+    c, s = math.cos(t), math.sin(t)
+    n = lp_norm(p, (c, s))
     if t <= QUARTER_PI:
-        lam_q = ch.arc(min(_sin_scaled(p, t), ch.fold))
+        lam_q = ch.arc(min(s / n, ch.fold))
     else:
-        lam_q = 2.0 * ch.eighth - ch.arc(min(_cos_scaled(p, t), ch.fold))
+        lam_q = 2.0 * ch.eighth - ch.arc(min(c / n, ch.fold))
     return k * 2.0 * ch.eighth + lam_q
 
 
@@ -483,10 +434,10 @@ def _point_at_arc_from_zero(p: float, lam: float) -> CirclePoint:
     rem = lam - k * quadrant
     if rem <= ch.eighth:
         x = ch.x_at(rem)
-        bx, by = _ypow(p, x), x
+        bx, by = _ypow(ch.p, x), x
     else:
         x = ch.x_at(quadrant - rem)
-        bx, by = x, _ypow(p, x)
+        bx, by = x, _ypow(ch.p, x)
     if k == 0:
         px, py = bx, by
     elif k == 1:
@@ -512,34 +463,11 @@ def _reduce_angle(phi: float) -> float:
     return phi
 
 
-def arc_length(p: float, phi1: float, phi2: float) -> float:
-    """Measure of the counter-clockwise arc from rho_p(phi1) to rho_p(phi2).
-
-    Requires phi1 <= phi2 <= phi1 + 2*pi; the angles are otherwise free.
-    """
-    p = validate_p(p)
-    if not phi1 <= phi2 <= phi1 + TWO_PI + 1e-12:
-        raise DomainError(
-            f"need phi1 <= phi2 <= phi1 + 2*pi, got phi1={phi1}, phi2={phi2}"
-        )
-    span = min(phi2 - phi1, TWO_PI)
-    ch = _chart(p)
-    total = 8.0 * ch.eighth
-    if span >= TWO_PI:
-        return total
-    start = _reduce_angle(phi1)
-    lam1 = _arc_from_zero(p, start)
-    end = start + span
-    if end < TWO_PI:
-        return _arc_from_zero(p, end) - lam1
-    return total - lam1 + _arc_from_zero(p, end - TWO_PI)
-
-
 def point_at_arc_length(p: float, start_phi: float, length: float) -> CirclePoint:
     """The point at counter-clockwise arc distance ``length`` from rho_p(start_phi).
 
-    ``length`` must lie in [0, 2*pi_p].  Round-trips with :func:`arc_length`
-    to within 1e-9.
+    ``length`` must lie in [0, 2*pi_p].  Round-trips with
+    :func:`_arc_from_zero` modulo the perimeter, to within 1e-8.
     """
     p = validate_p(p)
     ch = _chart(p)
@@ -548,19 +476,6 @@ def point_at_arc_length(p: float, start_phi: float, length: float) -> CirclePoin
         raise DomainError(f"arc length {length} outside [0, {total}]")
     lam = _arc_from_zero(p, _reduce_angle(start_phi)) + length
     return _point_at_arc_from_zero(p, lam)
-
-
-def arc_distance(p: float, a: CirclePoint, b: CirclePoint) -> float:
-    """The smaller of the two arc lengths separating a and b; lies in [0, pi_p]."""
-    p = validate_p(p)
-    ch = _chart(p)
-    total = 8.0 * ch.eighth
-    la = _arc_from_zero(p, _reduce_angle(a.phi))
-    lb = _arc_from_zero(p, _reduce_angle(b.phi))
-    d = math.fmod(lb - la, total)
-    if d < 0.0:
-        d += total
-    return min(d, total - d)
 
 
 def chord_length(p: float, a: Point2, b: Point2) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "BracketedRoot",
     "IntegrationError",
     "BracketError",
-    "DEFAULT_TOL",
     "integrate_adaptive",
     "find_root_bracketed",
     "maximize_1d",
@@ -51,9 +50,6 @@ class Tolerance:
             raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> float:
     """Integrate f over [a, b] to max(abs_tol, rel_tol * |I|).
 
@@ -178,7 +174,7 @@ def find_root_bracketed(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
 ) -> BracketedRoot:
     """Find a root of f in [lo, hi] given f(lo) * f(hi) <= 0.
 
@@ -252,7 +248,7 @@ def maximize_1d(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: Tolerance,
     n_grid: int = 4096,
 ) -> tuple[float, float]:
     """Maximize f on [lo, hi]: dense grid scan plus golden-section refinement.

@@ -8,21 +8,22 @@ import pytest
 
 from lpevac import (
     INF,
-    ArcSpec,
     ChordArcSample,
     Branch,
     Direction,
     DomainError,
     Point2,
     Tolerance,
-    chord_of_arc,
+    chord_length,
     find_root_bracketed,
     half_perimeter,
     integrate_adaptive,
     lp_norm,
     min_chord,
     min_chord_curve,
+    point_at_arc_length,
     tangential_chord,
+    unit_circle_point,
     verify_min_chord_monotone,
     verify_tangential_chord_monotone,
     worst_case_params,
@@ -62,6 +63,12 @@ def _count_placements(monkeypatch, p):
     return calls
 
 
+def _chord_from(p, phi, u):
+    # The chord of the arc of length u that starts at rho_p(phi).
+    a = unit_circle_point(p, phi).point
+    return chord_length(p, a, point_at_arc_length(p, phi, u).point)
+
+
 def _scanned_min_chord(p, u):
     # Independent of the arc/chord lemma: the least chord over 513 arc
     # midpoints m = i E / 512 on [0, E], each placing both endpoints m -/+ u/2.
@@ -74,27 +81,6 @@ def _scanned_min_chord(p, u):
         b = _point_at_arc_from_zero(p, m - half).point
         best = min(best, lp_norm(p, (a.x - b.x, a.y - b.y)))
     return best
-
-
-class TestChordOfArc:
-    def test_zero_length(self):
-        assert chord_of_arc(2.0, ArcSpec(2.0, 0.3, 0.0)) == 0.0
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0])
-    def test_half_perimeter_gives_diameter(self, p):
-        hp = half_perimeter(p)
-        for phi in (0.0, 0.4, QUARTER, 2.0):
-            assert chord_of_arc(p, ArcSpec(p, phi, hp)) == pytest.approx(2.0, abs=1e-7)
-
-    def test_euclidean_closed_form(self):
-        for u in (0.3, 1.0, 2.0, 3.0):
-            assert chord_of_arc(2.0, ArcSpec(2.0, 0.0, u)) == pytest.approx(
-                2.0 * math.sin(u / 2.0), abs=1e-8
-            )
-
-    def test_rejects_overlong(self):
-        with pytest.raises(DomainError):
-            chord_of_arc(2.0, ArcSpec(2.0, 0.0, 10.0))
 
 
 class TestTangentialChord:
@@ -180,14 +166,12 @@ class TestMinChord:
         for u in (1.0, 2.5, half_perimeter(p) * 0.9):
             best = min_chord(p, u)
             for _ in range(50):
-                arc = ArcSpec(p, rng.uniform(0.0, TWO_PI), u)
-                assert best <= chord_of_arc(p, arc) + 1e-7
+                phi = rng.uniform(0.0, TWO_PI)
+                assert best <= _chord_from(p, phi, u) + 1e-7
 
     @pytest.mark.parametrize("p,u", [(1.5, 2.0), (3.0, 2.6), (2.0, 4.0)])
     def test_exhaustive_start_angle_sweep(self, p, u):
-        sweep = min(
-            chord_of_arc(p, ArcSpec(p, TWO_PI * i / 4096.0, u)) for i in range(4096)
-        )
+        sweep = min(_chord_from(p, TWO_PI * i / 4096.0, u) for i in range(4096))
         best = min_chord(p, u)
         # the sweep sits on a 2*pi/4096 start-angle grid, so it can overshoot
         # the true minimum quadratically in the spacing (about 6e-6 here)
@@ -240,19 +224,23 @@ class TestMinChordCurve:
         # lattice chords per arc length are the scanned midpoints alone: 631,
         # 1019 (the most at any grid) and 513 here, plus the curve's one; a
         # lattice scanned without the stride would need about 2100 per u at
-        # steps = 1024.
+        # steps = 1024.  A chord is an lp_norm of the lattice in chord_arc or
+        # a chord_length in evacuation's separation; lp_geometry's lp_norm
+        # also scales angles onto C_p, so it is not counted.
         import lpevac.chord_arc as chord_arc
-        import lpevac.lp_geometry as geo
+        import lpevac.evacuation as evacuation
 
         calls = [0]
-        norm = geo.lp_norm
 
-        def counting(p, v):
-            calls[0] += 1
-            return norm(p, v)
+        def counting(fn):
+            def wrapped(*args):
+                calls[0] += 1
+                return fn(*args)
 
-        for module in (geo, chord_arc):  # every module that holds lp_norm
-            monkeypatch.setattr(module, "lp_norm", counting)
+            return wrapped
+
+        monkeypatch.setattr(chord_arc, "lp_norm", counting(chord_arc.lp_norm))
+        monkeypatch.setattr(evacuation, "chord_length", counting(evacuation.chord_length))
         verify_min_chord_monotone(1.5, steps)
         assert calls[0] / (steps - 1) <= 1019 + 1
 

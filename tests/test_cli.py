@@ -256,6 +256,36 @@ class TestMainEntry:
         assert doc["results"][0]["p"] == "inf"
         assert doc["passed"] is True
 
+    # above p = ln 2 * 2^54, about 1.25e16, the fold 2^(-1/p) rounds to 1
+    @pytest.mark.parametrize("p", ["1.3e16", "1e17"])
+    @pytest.mark.parametrize(
+        "command",
+        ["cost {p} {p}", "profile {p} --steps 9", "sigma {p} --steps 9", "lchord {p} --steps 9"],
+        ids=lambda command: command.split()[0],
+    )
+    def test_p_beyond_fold_rounding_writes_finite_csv(self, command, p, capsys):
+        assert main(command.format(p=p).split()) == 0
+        table = CurveTable.from_csv(capsys.readouterr().out)
+        assert table.rows and all(math.isfinite(v) for row in table.rows for v in row)
+
+    @pytest.mark.parametrize("p", ["1.3e16", "1e17"])
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate {p} 0 pi", "verify {p} --grid 64"],
+        ids=lambda command: command.split()[0],
+    )
+    def test_p_beyond_fold_rounding_writes_strict_json(self, command, p, capsys):
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert main(command.format(p=p).split()) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        if command.startswith("verify"):
+            checks = doc["results"][0]["checks"]
+            assert len(checks) == 4 and all(c["passed"] for c in checks)
+        else:
+            assert doc["total_cost"] == pytest.approx(5.0, abs=1e-12)
+
     def test_verify_large_p_passes_silently(self, capsys):
         assert main(["verify", "100", "--grid", "64"]) == 0
         captured = capsys.readouterr()

@@ -288,6 +288,13 @@ class TestWorstCaseCost:
         _, cost = worst_case_grid_oracle(AlgoParams(p, phi), 2048)
         assert worst_case_cost(p) == pytest.approx(cost, abs=1e-6)
 
+    @pytest.mark.parametrize("p", [1.3e16, 1e17])
+    def test_beyond_fold_rounding_is_the_square(self, p):
+        # 2^(-1/p) rounds to 1 above p = ln 2 * 2^54, about 1.25e16
+        assert worst_case_cost(p) == pytest.approx(5.0, abs=1e-12)
+        _, cost = worst_case_grid_oracle(AlgoParams(p, QUARTER), 1024)
+        assert cost == pytest.approx(5.0, abs=1e-9)
+
     def test_oracle_for_extremes(self):
         _, c1 = worst_case_grid_oracle(AlgoParams(1.0, 0.0), 1024)
         assert c1 == pytest.approx(5.0, abs=1e-9)

@@ -7,13 +7,8 @@ from hypothesis import given, strategies as st
 
 from lpevac import (
     INF,
-    ArcSpec,
     DomainError,
     Point2,
-    arc_distance,
-    arc_length,
-    chart_point,
-    chart_speed,
     chord_length,
     half_perimeter,
     lp_norm,
@@ -21,6 +16,7 @@ from lpevac import (
     unit_circle_point,
     validate_p,
 )
+from lpevac.lp_geometry import _arc_from_zero, _chart, _point_at_arc_from_zero, _speed, _ypow
 
 P_PALETTE = [1.0, 1.1, 1.3, 1.5, 2.0, 2.5, 3.0, 7.5, 20.0, INF]
 TWO_PI = 2.0 * math.pi
@@ -80,45 +76,36 @@ class TestUnitCirclePoint:
 
 
 class TestChartPoint:
+    """The chart s -> (-s, _ypow(p, s)) of the upper half of C_p."""
+
     def test_pole(self):
-        assert chart_point(2.0, 0.0) == Point2(0.0, 1.0)
+        assert _ypow(2.0, 0.0) == 1.0
 
     def test_right_edge(self):
-        assert chart_point(3.0, -1.0) == Point2(1.0, 0.0)
+        assert _ypow(3.0, -1.0) == 0.0
 
     def test_euclid_diagonal(self):
-        pt = chart_point(2.0, -(2.0**-0.5))
-        assert pt.x == pytest.approx(2.0**-0.5, abs=1e-12)
-        assert pt.y == pytest.approx(2.0**-0.5, abs=1e-12)
-
-    def test_domain_checks(self):
-        with pytest.raises(DomainError):
-            chart_point(2.0, 1.5)
-        with pytest.raises(DomainError):
-            chart_point(INF, 0.0)
+        assert _ypow(2.0, -(2.0**-0.5)) == pytest.approx(2.0**-0.5, abs=1e-12)
 
 
 class TestChartSpeed:
     def test_unit_speed_at_pole_p2(self):
-        assert chart_speed(2.0, 0.0) == 1.0
+        assert _speed(2.0, 0.0) == 1.0
 
     def test_p1_constant_two(self):
         # exponent p^2 - p vanishes, the integrand collapses to 2; the
         # quarter-arc cross-check 2 * (1/2) = pi_1 / 4 pins the constant
         for z in (0.0, 0.2, 0.49, 0.9):
-            assert chart_speed(1.0, z) == 2.0
+            assert _speed(1.0, z) == 2.0
         assert 2.0 * 0.5 == half_perimeter(1.0) / 4.0
 
     def test_matches_finite_difference_of_chart(self):
+        # the only check that _speed is the l_p speed of the chart: the
+        # mpmath fixture integrates the same formula
         p, z, h = 3.0, 0.5, 1e-5
-        a = chart_point(p, z + h)
-        b = chart_point(p, z - h)
-        fd = lp_norm(p, Point2((a.x - b.x) / (2 * h), (a.y - b.y) / (2 * h)))
-        assert chart_speed(p, z) == pytest.approx(fd, abs=1e-6)
-
-    def test_rejects_singular_edge(self):
-        with pytest.raises(DomainError):
-            chart_speed(3.0, 1.0)
+        dx = (-(z + h) + (z - h)) / (2 * h)
+        dy = (_ypow(p, z + h) - _ypow(p, z - h)) / (2 * h)
+        assert _speed(p, z) == pytest.approx(lp_norm(p, Point2(dx, dy)), abs=1e-6)
 
 
 class TestHalfPerimeter:
@@ -140,27 +127,32 @@ class TestHalfPerimeter:
 
 
 class TestArcLength:
+    """Arc length from angle 0, measured on the chart."""
+
     @pytest.mark.parametrize("p", P_PALETTE)
     def test_full_perimeter(self, p):
-        assert arc_length(p, 0.0, TWO_PI) == pytest.approx(
-            2.0 * half_perimeter(p), abs=1e-8
-        )
+        assert 8.0 * _chart(p).eighth == pytest.approx(2.0 * half_perimeter(p), abs=1e-8)
 
     def test_l1_quarter_through_top(self):
-        assert arc_length(1.0, math.pi / 4, 3 * math.pi / 4) == pytest.approx(2.0, abs=1e-12)
+        top = _arc_from_zero(1.0, 3 * math.pi / 4) - _arc_from_zero(1.0, math.pi / 4)
+        assert top == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 5.0, INF])
     def test_eighths_balance(self, p):
         # reflection across y=x maps one eighth onto the other
-        first = arc_length(p, 0.0, math.pi / 4)
-        second = arc_length(p, math.pi / 4, math.pi / 2)
+        first = _arc_from_zero(p, math.pi / 4)
+        second = _arc_from_zero(p, math.pi / 2) - first
         assert first == pytest.approx(second, abs=1e-9)
 
-    def test_rejects_bad_order(self):
-        with pytest.raises(DomainError):
-            arc_length(2.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            arc_length(2.0, 0.0, 7.0)
+
+@pytest.mark.parametrize("p", [1.3e16, 1e17])
+def test_chart_beyond_fold_rounding_is_the_square(p):
+    # 2^(-1/p) rounds to 1 above p = ln 2 * 2^54, about 1.25e16, where the
+    # speed and the height are singular at the fold end
+    ch = _chart(p)
+    assert 4.0 * ch.eighth == pytest.approx(4.0, abs=1e-12)
+    # the diagonal point is the corner of the square, not (0, 1)
+    assert _point_at_arc_from_zero(p, ch.eighth).point == Point2(1.0, 1.0)
 
 
 class TestPointAtArcLength:
@@ -191,17 +183,16 @@ class TestPointAtArcLength:
     def test_round_trip(self, p, phi, frac):
         L = frac * 2.0 * half_perimeter(p)
         cp = point_at_arc_length(p, phi, L)
-        back = arc_length(p, phi, phi + ((cp.phi - phi) % TWO_PI))
+        back = _arc_from_zero(p, cp.phi) - _arc_from_zero(p, phi % TWO_PI)
         # the wrap is ambiguous at a full lap; compare modulo the perimeter
         total = 2.0 * half_perimeter(p)
-        err = min(abs(back - L), abs(back - L + total), abs(back - L - total))
-        assert err <= 1e-8
+        d = (back - L) % total
+        assert min(d, total - d) <= 1e-8
 
 
-class TestArcDistanceAndChord:
+class TestChordLength:
     def test_coincident(self):
         a = unit_circle_point(2.0, 1.0)
-        assert arc_distance(2.0, a, a) == 0.0
         assert chord_length(2.0, a.point, a.point) == 0.0
 
     def test_l1_named_points(self):
@@ -209,36 +200,9 @@ class TestArcDistanceAndChord:
         B = unit_circle_point(1.0, 3 * math.pi / 4)
         C = unit_circle_point(1.0, 0.0)
         D = unit_circle_point(1.0, math.pi / 2)
-        # equal arc distances but different chords
-        assert arc_distance(1.0, A, B) == pytest.approx(2.0, abs=1e-12)
-        assert arc_distance(1.0, C, D) == pytest.approx(2.0, abs=1e-12)
+        # arcs of equal length 2 (A to B, C to D) with different chords
         assert chord_length(1.0, A.point, B.point) == pytest.approx(1.0, abs=1e-12)
         assert chord_length(1.0, C.point, D.point) == pytest.approx(2.0, abs=1e-12)
-
-    @given(
-        p=st.sampled_from(P_PALETTE),
-        phis=st.tuples(
-            st.floats(min_value=0.0, max_value=TWO_PI),
-            st.floats(min_value=0.0, max_value=TWO_PI),
-        ),
-    )
-    def test_symmetry_and_range(self, p, phis):
-        a = unit_circle_point(p, phis[0])
-        b = unit_circle_point(p, phis[1])
-        d1 = arc_distance(p, a, b)
-        d2 = arc_distance(p, b, a)
-        assert d1 == pytest.approx(d2, abs=1e-9)
-        assert -1e-12 <= d1 <= half_perimeter(p) + 1e-8
-
-    def test_triangle_inequality_sampled(self):
-        rng = random.Random(20240817)
-        for _ in range(1000):
-            p = rng.choice(P_PALETTE)
-            pts = [unit_circle_point(p, rng.uniform(0.0, TWO_PI)) for _ in range(3)]
-            ab = arc_distance(p, pts[0], pts[1])
-            bc = arc_distance(p, pts[1], pts[2])
-            ac = arc_distance(p, pts[0], pts[2])
-            assert ac <= ab + bc + 1e-8
 
 
 def _reflections(pt: Point2):
@@ -257,14 +221,8 @@ def test_reflection_invariance(p):
         a = unit_circle_point(p, rng.uniform(0.0, TWO_PI))
         b = unit_circle_point(p, rng.uniform(0.0, TWO_PI))
         base_chord = chord_length(p, a.point, b.point)
-        base_arc = arc_distance(p, a, b)
         for ra, rb in zip(_reflections(a.point), _reflections(b.point)):
             assert chord_length(p, ra, rb) == pytest.approx(base_chord, abs=1e-9)
-            phi_a = math.atan2(ra.y, ra.x) % TWO_PI
-            phi_b = math.atan2(rb.y, rb.x) % TWO_PI
-            ca = unit_circle_point(p, phi_a)
-            cb = unit_circle_point(p, phi_b)
-            assert arc_distance(p, ca, cb) == pytest.approx(base_arc, abs=1e-9)
 
 
 def test_concurrent_use_is_deterministic():
@@ -340,17 +298,3 @@ def test_cache_inserts_from_threads_keep_the_bound():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == [] and len(cache) == size
-
-
-def test_arcspec_holds_fields():
-    arc = ArcSpec(2.0, 0.5, 1.25)
-    assert (arc.p, arc.start_phi, arc.length) == (2.0, 0.5, 1.25)
-
-
-def test_arcspec_midpoint_and_tangential_angle():
-    arc = ArcSpec(2.0, 0.0, math.pi)
-    mid = arc.midpoint()
-    assert mid.phi == pytest.approx(math.pi / 2, abs=1e-10)
-    assert arc.tangential_angle() == pytest.approx(math.pi / 2, abs=1e-10)
-    diamond = ArcSpec(1.0, 7 * math.pi / 4, 2.0)
-    assert diamond.tangential_angle() == pytest.approx(0.0, abs=1e-10)
