@@ -57,7 +57,10 @@ __all__ = [
     "evac_cost_curve",
 ]
 
-_ROOT_TOL = Tolerance(abs_tol=1e-13, rel_tol=0.0, max_iter=200)
+# The aux root is about ln 2 / p, so an absolute stop loses it at large p.
+# With a negligible abs_tol, Brent stops on its relative bracket test, a
+# half-width of 2 eps |w|, or on an exact zero.
+_ROOT_TOL = Tolerance(abs_tol=1e-300, rel_tol=0.0, max_iter=200)
 
 
 class Branch(Enum):
@@ -183,9 +186,13 @@ def simulate_exit(params: AlgoParams, exit: CirclePoint) -> EvacOutcome:
 
 
 def aux_root_equation(p: float, w: float) -> float:
-    """w^p + 1 - 2(1 - w)^p, whose unique root in (0, 1) locates the
-    diagonal-branch critical exit."""
-    return w**p + 1.0 - 2.0 * (1.0 - w) ** p
+    """w^p + 1 - 2(1 - w)^p for w in [0, 1), whose unique root, in
+    (0, 1/2), locates the diagonal-branch critical exit.
+
+    (1 - w)^p is taken as exp(p log1p(-w)): rounding 1 - w would lose a
+    root near ln 2 / p once p is large.
+    """
+    return w**p + 1.0 - 2.0 * math.exp(p * math.log1p(-w))
 
 
 def _axis_branch(p: float) -> tuple[Optional[float], float, float, float]:
@@ -198,8 +205,9 @@ def _axis_branch(p: float) -> tuple[Optional[float], float, float, float]:
 
 def _diagonal_branch(p: float) -> tuple[Optional[float], float, float, float]:
     # Critical data for deployment phi = pi/4, valid for p in [2, inf).
+    # The equation is -1 at w = 0 and 1 - 2^(-p) > 0 at w = 1/2.
     w = find_root_bracketed(
-        lambda w: aux_root_equation(p, w), 0.0, 1.0, _ROOT_TOL
+        lambda w: aux_root_equation(p, w), 0.0, 0.5, _ROOT_TOL
     ).root
     wq = w ** (p / (p - 1.0))
     s = (wq + 1.0) ** (-1.0 / p)

@@ -29,6 +29,7 @@ import bisect
 import math
 import sys
 import threading
+from functools import partial
 from operator import mul
 from typing import NamedTuple
 
@@ -83,16 +84,17 @@ def lp_norm(p: float, v: Point2) -> float:
     """l_p norm of a plane vector; p = inf gives max(|x|, |y|)."""
     ax = abs(v[0])
     ay = abs(v[1])
-    if math.isinf(p):
-        return ax if ax > ay else ay
+    if ax < ay:
+        ax, ay = ay, ax
+    if p == INF:
+        return ax
     if p == 1.0:
         return ax + ay
     if p == 2.0:
         return math.hypot(ax, ay)
-    m = ax if ax > ay else ay
-    if m == 0.0:
+    if ax == 0.0:
         return 0.0
-    return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+    return ax * (1.0 + (ay / ax) ** p) ** (1.0 / p)
 
 
 def unit_circle_point(p: float, phi: float) -> CirclePoint:
@@ -124,15 +126,18 @@ def _speed(p: float, z: float) -> float:
     """l_p speed of the chart at z in [0, 1): (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p).
 
     Constant 2 for p = 1 (the diamond) and constant 1 for p = inf (the
-    square).  Evaluated in log space so that large p cannot overflow.
-    Unchecked: p must be valid and z in [0, 1).
+    square).  With w = z^p the speed is (1 + (w / (1 - w))^(p-1))^(1/p).
+    On the folded segment, w <= 1/2, the ratio is at most 1 and the three
+    powers cannot overflow for any p; beyond the fold the speed is
+    evaluated in log space.  Unchecked: p must be valid and z in [0, 1).
     """
     if p == 1.0:
         return 2.0
-    if math.isinf(p):
+    if p == INF:
         return 1.0
-    if z == 0.0:
-        return 1.0
+    w = z**p
+    if w <= 0.5:
+        return (1.0 + (w / (1.0 - w)) ** (p - 1.0)) ** (1.0 / p)
     lz = math.log(z)
     omzp = -math.expm1(p * lz)  # 1 - z^p
     lg = (p * p - p) * lz + (1.0 - p) * math.log(omzp)
@@ -169,7 +174,7 @@ def _quarter_arc_integral(p: float, upper: float) -> float:
         return 2.0 * upper
     if math.isinf(p):
         return upper
-    speed = lambda z: _speed(p, z)
+    speed = partial(_speed, p)
     knee = _knee(p)
     if p <= 4.0 or upper <= knee:
         return integrate_adaptive(speed, 0.0, upper, _QUAD_TOL)

@@ -16,7 +16,15 @@ from lpevac import (
     unit_circle_point,
     validate_p,
 )
-from lpevac.lp_geometry import _arc_from_zero, _chart, _point_at_arc_from_zero, _speed, _ypow
+from lpevac import lp_geometry
+from lpevac.lp_geometry import (
+    _arc_from_zero,
+    _chart,
+    _fold_limit,
+    _point_at_arc_from_zero,
+    _speed,
+    _ypow,
+)
 
 P_PALETTE = [1.0, 1.1, 1.3, 1.5, 2.0, 2.5, 3.0, 7.5, 20.0, INF]
 TWO_PI = 2.0 * math.pi
@@ -47,6 +55,30 @@ class TestNorm:
 
     def test_large_p_no_overflow(self):
         assert lp_norm(800.0, Point2(0.3, -0.7)) == pytest.approx(0.7, rel=1e-3)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.7, 20.0, 1e4, INF])
+    def test_matches_max_scaled_formula(self, p):
+        # x / x and 1^p are exact and + commutes, so scaling by the larger
+        # coordinate alone gives the same bits as scaling both by the max.
+        def max_scaled(p, v):
+            ax, ay = abs(v[0]), abs(v[1])
+            if math.isinf(p):
+                return max(ax, ay)
+            if p == 1.0:
+                return ax + ay
+            if p == 2.0:
+                return math.hypot(ax, ay)
+            m = max(ax, ay)
+            if m == 0.0:
+                return 0.0
+            return m * ((ax / m) ** p + (ay / m) ** p) ** (1.0 / p)
+
+        rng = random.Random(20211)
+        vectors = [(0.0, 0.0), (0.0, -3.0), (2.5, 0.0), (0.7, 0.7), (-0.7, 0.7)]
+        vectors += [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(2000)]
+        vectors += [(rng.uniform(-1.0, 1.0), rng.uniform(-1e-6, 1e-6)) for _ in range(500)]
+        for v in vectors:
+            assert lp_norm(p, Point2(*v)) == max_scaled(p, v), v
 
 
 class TestUnitCirclePoint:
@@ -88,9 +120,77 @@ class TestChartPoint:
         assert _ypow(2.0, -(2.0**-0.5)) == pytest.approx(2.0**-0.5, abs=1e-12)
 
 
+def _log_space_speed(p, z):
+    # The chart speed (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p) in log space, the
+    # form _speed keeps only beyond the fold.
+    if z == 0.0:
+        return 1.0
+    lz = math.log(z)
+    lg = (p * p - p) * lz + (1.0 - p) * math.log(-math.expm1(p * lz))
+    if lg > 0.0:
+        return math.exp((lg + math.log1p(math.exp(-lg))) / p)
+    return math.exp(math.log1p(math.exp(lg)) / p)
+
+
+# _speed calls of one cold half_perimeter at each p of the mpmath fixture.
+# They pin the quadrature's panels, and that every evaluation goes through
+# the one speed formula.
+SPEED_EVALS_PER_HALF_PERIMETER = {
+    1.001: 705,
+    1.0625: 795,
+    1.5: 435,
+    2.0: 75,
+    3.0: 105,
+    10.0: 150,
+    45.0: 150,
+    50.5: 150,
+    100.0: 150,
+    200.0: 120,
+    500.0: 120,
+    1000.0: 90,
+    10000.0: 30,
+}
+
+
 class TestChartSpeed:
     def test_unit_speed_at_pole_p2(self):
         assert _speed(2.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("p", list(SPEED_EVALS_PER_HALF_PERIMETER))
+    def test_matches_log_space_form_on_the_folded_segment(self, p):
+        fold = _fold_limit(p)
+        for k in range(200):
+            z = fold * k / 199
+            ref = _log_space_speed(p, z)
+            assert abs(_speed(p, z) - ref) <= 4.0 * math.ulp(ref), z
+
+    @pytest.mark.parametrize("p", [3.0, 1e4])
+    def test_finite_beyond_the_fold(self, p):
+        fold = _fold_limit(p)
+        for k in range(1, 51):
+            z = fold + (1.0 - fold) * k / 51
+            value = _speed(p, z)
+            ref = _log_space_speed(p, z)
+            assert math.isfinite(value)
+            assert abs(value - ref) <= 4.0 * math.ulp(ref), z
+
+    def test_square_constant_one_at_the_corner(self):
+        # The square's chart is evaluated at its fold z = 1.
+        assert _speed(INF, 1.0) == 1.0
+
+    @pytest.mark.parametrize("p, calls", list(SPEED_EVALS_PER_HALF_PERIMETER.items()))
+    def test_half_perimeter_speed_evaluations(self, p, calls, monkeypatch):
+        count = [0]
+        speed = lp_geometry._speed
+
+        def counted(p, z):
+            count[0] += 1
+            return speed(p, z)
+
+        monkeypatch.setattr(lp_geometry, "_speed", counted)
+        monkeypatch.setattr(lp_geometry, "_PERIMETER_CACHE", {})
+        half_perimeter(p)
+        assert count[0] == calls
 
     def test_p1_constant_two(self):
         # exponent p^2 - p vanishes, the integrand collapses to 2; the

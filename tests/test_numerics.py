@@ -11,6 +11,7 @@ from lpevac.numerics import (
     integrate_adaptive,
     maximize_1d,
 )
+from lpevac.numerics import _gk15
 
 TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
 
@@ -27,6 +28,30 @@ class TestTolerance:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             Tolerance(**kwargs)
+
+
+class TestGK15Panel:
+    # On [-1, 1] the nodes are the rule's own abscissae, unrounded.
+    @staticmethod
+    def _moment(d):
+        return 2.0 / (d + 1) if d % 2 == 0 else 0.0
+
+    @pytest.mark.parametrize("d", range(23))
+    def test_kronrod_exact_to_degree_22(self, d):
+        est, _ = _gk15(lambda x: x**d, -1.0, 1.0)
+        assert abs(est - self._moment(d)) <= 4.0 * math.ulp(2.0 / (d + 1))
+
+    @pytest.mark.parametrize("d", range(14))
+    def test_gauss_exact_to_degree_13(self, d):
+        # The error estimate is |K15 - G7|; both rules are exact here.
+        _, err = _gk15(lambda x: x**d, -1.0, 1.0)
+        assert err <= 4.0 * math.ulp(2.0 / (d + 1))
+
+    def test_exactness_ends_where_the_theory_says(self):
+        k24, _ = _gk15(lambda x: x**24, -1.0, 1.0)
+        assert abs(k24 - self._moment(24)) > 1e-10
+        _, err14 = _gk15(lambda x: x**14, -1.0, 1.0)
+        assert err14 > 1e-6
 
 
 class TestIntegrateAdaptive:

@@ -2,7 +2,8 @@
 against a high-precision fixture and the independent quadrature.
 
 ``tests/data/reference.json`` holds mpmath values at 20 digits, written by
-``tools/make_reference.py``; this module reads only the JSON.
+``tools/make_reference.py``; this module reads only the JSON.  It also
+holds the diagonal deployment's aux root for p >= 2, up to p = 1e15.
 """
 import json
 import math
@@ -10,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from lpevac import half_perimeter, min_chord, worst_case_cost, worst_case_params
+from lpevac import Branch, half_perimeter, min_chord, worst_case_cost, worst_case_params
 from lpevac import lp_geometry
 from lpevac.lp_geometry import _QUAD_TOL, _Chart, _chart, _quarter_arc_integral
 
 REL_TOL = 1e-12
-ROWS = json.loads((Path(__file__).parent / "data" / "reference.json").read_text())["values"]
+FIXTURE = json.loads((Path(__file__).parent / "data" / "reference.json").read_text())
+ROWS = FIXTURE["values"]
 
 
 def _rel(value: float, ref: float) -> float:
@@ -52,6 +54,19 @@ class TestAgainstReference:
         ch = _chart(row["p"])
         for x, ref in row["arc"]:
             assert abs(ch.arc(x) - ref) <= 1e-15 * ch.eighth
+
+
+@pytest.mark.parametrize("row", [row for row in ROWS if row["p"] >= 2.0], ids=lambda row: f"p={row['p']}")
+def test_half_perimeter_to_rounding(row):
+    # With full-precision Gauss-Kronrod weights the quadrature lands within a
+    # few ulp of the mpmath pi_p; near p = 1 its 1e-12 target dominates.
+    assert _rel(half_perimeter(row["p"]), row["pi"]) <= 1e-15
+
+
+@pytest.mark.parametrize("p, ref", FIXTURE["aux_root"], ids=[f"p={p}" for p, _ in FIXTURE["aux_root"]])
+def test_aux_root(p, ref):
+    # The root is about ln 2 / p, so only a relative stop finds it at large p.
+    assert _rel(worst_case_params(p, Branch.DIAGONAL).aux_root, ref) <= 1e-14
 
 
 @pytest.mark.parametrize("p", [row["p"] for row in ROWS] + [1.0, math.inf], ids=lambda p: f"p={p}")
