@@ -23,15 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from math import fabs, hypot
+from operator import add, sub
 from typing import Optional
 
 from .evacuation import AlgoParams, separation, worst_case_params
 from .lp_geometry import (
+    INF,
     QUARTER_PI,
     DomainError,
     _chart,
     _point_at_arc_from_zero,
-    lp_norm,
     validate_p,
 )
 
@@ -112,19 +115,18 @@ def min_chord(p: float, u: float) -> float:
 
 def _quarter_turn_lattice(p: float, n: int) -> tuple[list[float], list[float]]:
     # Coordinates (xs, ys) of the points of C_p at arc lengths i * E / n for
-    # i in [-2n, 5n], stored at index i + 2n.  Only the quadrant [0, 2E) is
-    # placed; the rest follows by quarter turns (x, y) -> (-y, x), which map
-    # C_p onto itself and advance arc length by 2E.
+    # i in [-2n, 3n], stored at index i + 2n: the midpoints [0, n] of the
+    # sweep, shifted by at most 2n cells either way.  Only the quadrant
+    # [0, 2E) is placed; the rest follows by quarter turns (x, y) -> (-y, x),
+    # which map C_p onto itself and advance arc length by 2E.
     h = _chart(p).eighth / n
     pts = [_point_at_arc_from_zero(p, i * h).point for i in range(2 * n)]
     x = [pt.x for pt in pts]
     y = [pt.y for pt in pts]
-    neg_x = [-v for v in x]
-    neg_y = [-v for v in y]
-    # quadrants -1, 0, 1, 2 and the first half of 3: (y, -x), (x, y),
-    # (-y, x), (-x, -y), (y, -x)
-    xs = y + x + neg_y + neg_x + y[: n + 1]
-    ys = neg_x + y + x + neg_y + neg_x[: n + 1]
+    # quadrant -1, quadrant 0 and the first half of quadrant 1: (y, -x),
+    # (x, y), (-y, x)
+    xs = y + x + [-v for v in y[: n + 1]]
+    ys = [-v for v in x] + y + x[: n + 1]
     return xs, ys
 
 
@@ -168,7 +170,10 @@ def verify_min_chord_monotone(
     u_j / 2 is a whole number of cells; the lattice is placed once.  For
     every u_j the midpoints are every r-th lattice point of [0, E],
     r = max(1, n // 510), plus E itself: at least 510 cells per arc length,
-    linear in grid_size overall.  Two monotonicity facts are checked:
+    linear in grid_size overall.  The chords of one arc length are one row,
+    computed from strided slices of the lattice by a row kernel that holds
+    :func:`lp_geometry.lp_norm`'s formula inline and returns its values bit
+    for bit.  Two monotonicity facts are checked:
 
     - the lemma: along each arc length the chord is monotone in the
       midpoint, increasing for p <= 2 and decreasing for p > 2, so the end
@@ -186,22 +191,57 @@ def verify_min_chord_monotone(
     k = -(-256 // (grid_size - 1))
     n = 2 * (grid_size - 1) * k
     xs, ys = _quarter_turn_lattice(p, n)
-    mid_idx = list(range(2 * n, 3 * n, max(1, n // _MID_CELLS))) + [3 * n]
+    r = max(1, n // _MID_CELLS)
+    # the lemma's direction, chosen by the same test as min_chord's end
+    increasing = p <= 2.0
     worst = 0.0
     for j in range(1, grid_size):
-        s = 4 * k * j
-        chords = [
-            lp_norm(p, (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s])) for i in mid_idx
-        ]
-        # the lemma's direction, chosen by the same test as min_chord's end
-        worst = max(worst, _largest_drop(chords if p <= 2.0 else chords[::-1]))
+        chords = _lattice_chords(p, xs, ys, 2 * n, 3 * n, r, 4 * k * j)
+        worst = max(worst, _largest_drop(chords, increasing))
     curve = [chord for _, chord in min_chord_curve(p, grid_size)]
     worst = max(worst, _largest_drop(curve))
     return MonotonicityReport(p, grid_size, Direction.INCREASING, tol, worst, worst <= tol)
 
 
-def _largest_drop(values: list[float]) -> float:
-    return max([0.0] + [prev - nxt for prev, nxt in zip(values, values[1:])])
+def _lattice_chords(
+    p: float, xs: list[float], ys: list[float], lo: int, hi: int, r: int, s: int
+) -> list[float]:
+    # The l_p norms of (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s]) for
+    # the midpoints i in range(lo, hi, r) and i = hi: one arc length of the
+    # lattice.  Bit for bit lp_norm's values: the same branches on p and the
+    # same formula with the larger component as a (a == b gives the same
+    # value either way round, and a zero vector gives 0.0); hypot takes the
+    # absolute values itself and is symmetric in its arguments.
+    up = slice(lo + s, hi + s, r)
+    down = slice(lo - s, hi - s, r)
+    dx = map(sub, xs[up] + [xs[hi + s]], xs[down] + [xs[hi - s]])
+    dy = map(sub, ys[up] + [ys[hi + s]], ys[down] + [ys[hi - s]])
+    if p == 2.0:
+        return list(map(hypot, dx, dy))
+    dx = map(fabs, dx)
+    dy = map(fabs, dy)
+    if p == INF:
+        return [a if a > b else b for a, b in zip(dx, dy)]
+    if p == 1.0:
+        return list(map(add, dx, dy))
+    inv = 1.0 / p
+    return [
+        a * (1.0 + (b / a) ** p) ** inv
+        if a > b
+        else b * (1.0 + (a / b) ** p) ** inv
+        if b
+        else 0.0
+        for a, b in zip(dx, dy)
+    ]
+
+
+def _largest_drop(values: list[float], increasing: bool = True) -> float:
+    # The largest step of values against the given direction, or 0.0.
+    if increasing:
+        steps = map(sub, values, values[1:])
+    else:
+        steps = map(sub, values[1:], values)
+    return max(chain((0.0,), steps))
 
 
 def verify_tangential_chord_monotone(
@@ -228,5 +268,5 @@ def verify_tangential_chord_monotone(
         direction = Direction.INCREASING
     else:
         direction = Direction.INCREASING if p < 2.0 else Direction.DECREASING
-        worst = _largest_drop(values if p < 2.0 else values[::-1])
+        worst = _largest_drop(values, p < 2.0)
     return MonotonicityReport(p, grid_size, direction, tol, worst, worst <= tol)

@@ -224,25 +224,28 @@ class TestMinChordCurve:
         # lattice chords per arc length are the scanned midpoints alone: 631,
         # 1019 (the most at any grid) and 513 here, plus the curve's one; a
         # lattice scanned without the stride would need about 2100 per u at
-        # steps = 1024.  A chord is an lp_norm of the lattice in chord_arc or
-        # a chord_length in evacuation's separation; lp_geometry's lp_norm
-        # also scales angles onto C_p, so it is not counted.
+        # steps = 1024.  A chord is an element of a row of chord_arc's
+        # lattice kernel or a chord_length in evacuation's separation.
         import lpevac.chord_arc as chord_arc
         import lpevac.evacuation as evacuation
 
         calls = [0]
+        rows = chord_arc._lattice_chords
+        chord = evacuation.chord_length
 
-        def counting(fn):
-            def wrapped(*args):
-                calls[0] += 1
-                return fn(*args)
+        def counting_rows(*args):
+            out = rows(*args)
+            calls[0] += len(out)
+            return out
 
-            return wrapped
+        def counting_chord(*args):
+            calls[0] += 1
+            return chord(*args)
 
-        monkeypatch.setattr(chord_arc, "lp_norm", counting(chord_arc.lp_norm))
-        monkeypatch.setattr(evacuation, "chord_length", counting(evacuation.chord_length))
+        monkeypatch.setattr(chord_arc, "_lattice_chords", counting_rows)
+        monkeypatch.setattr(evacuation, "chord_length", counting_chord)
         verify_min_chord_monotone(1.5, steps)
-        assert calls[0] / (steps - 1) <= 1019 + 1
+        assert (steps - 1) * (513 + 1) <= calls[0] <= (steps - 1) * (1019 + 1)
 
     @pytest.mark.parametrize("p", [1.5, 3.0, INF])
     @pytest.mark.parametrize("steps", [64, 256])
@@ -284,17 +287,117 @@ class TestVerifyMinChordMonotone:
         # check sees it.  Grid 64: 630 cells, 631 midpoints per arc length.
         import lpevac.chord_arc as chord_arc
 
-        calls = [0]
-        norm = chord_arc.lp_norm
+        rows = [0]
+        kernel = chord_arc._lattice_chords
 
-        def dropping(p, v):
-            calls[0] += 1
-            return norm(p, v) - (1e-6 if calls[0] == 316 else 0.0)
+        def dropping(*args):
+            chords = kernel(*args)
+            rows[0] += 1
+            if rows[0] == 1:
+                chords[315] -= 1e-6
+            return chords
 
-        monkeypatch.setattr(chord_arc, "lp_norm", dropping)
+        monkeypatch.setattr(chord_arc, "_lattice_chords", dropping)
         rep = verify_min_chord_monotone(p, 64)
         assert not rep.passed
         assert rep.max_violation == pytest.approx(1e-6, rel=0.05)
+
+
+KERNEL_P = (1.0, 1.0 + 1e-7, 1.001, 1.5, 2.0, 3.7, 20.0, 1e4, 1e17, INF)
+ORACLE_P = (1.001, 1.5, 2.0, 3.0, 45.0, 1e4, INF)
+
+
+def _kernel_chords(p, vectors):
+    # Lay the vectors out so that the kernel's chord k joins xs[k] = 0.0 to
+    # xs[2m + k] = vectors[k][0]: midpoints m + k at stride 1, the last one
+    # as the end midpoint hi, shift s = m.  v - 0.0 is v exactly.
+    from lpevac.chord_arc import _lattice_chords
+
+    m = len(vectors)
+    xs = [0.0] * (2 * m) + [v[0] for v in vectors]
+    ys = [0.0] * (2 * m) + [v[1] for v in vectors]
+    return _lattice_chords(p, xs, ys, m, 2 * m - 1, 1, m)
+
+
+def _kernel_vectors(rng):
+    # Zero vectors (0.0, where an inline b / a would divide 0 by 0), an
+    # axis, |dx| = |dy|, both orders of |dx| and |dy| and tiny components.
+    out = [(0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (-2.5, 0.0), (5e-324, 0.0)]
+    out += [(5e-324, 5e-324), (1e-300, -3e-310), (1e-200, 1e-200), (1.0, 1.0)]
+    for _ in range(2000):
+        a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+        b = a * rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 0)
+        c, d = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        out += [(a, b), (b, a), (a, -a), (c, d)]
+    for _ in range(500):
+        a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-323, -300)
+        b = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-323, -300)
+        out += [(a, b), (b, a), (a, a)]
+    return out
+
+
+class TestLatticeChords:
+    @pytest.mark.parametrize("p", KERNEL_P)
+    def test_bit_identical_to_lp_norm(self, p):
+        vectors = _kernel_vectors(random.Random(1101))
+        got = _kernel_chords(p, vectors)
+        want = [lp_norm(p, (dx, dy)) for dx, dy in vectors]
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    @pytest.mark.parametrize("steps", [64, 256])
+    def test_lattice_is_the_read_range(self, steps):
+        # 5n + 1 points, arc indices [-2n, 3n]: the start of the quarter
+        # turns of the full turn's lattice, point for point
+        from lpevac.chord_arc import _quarter_turn_lattice
+
+        n = 2 * (steps - 1) * -(-256 // (steps - 1))
+        xs, ys = _quarter_turn_lattice(3.0, n)
+        full_xs, full_ys = _full_turn_lattice(3.0, n)
+        assert len(xs) == len(ys) == 5 * n + 1
+        assert xs == full_xs[: 5 * n + 1] and ys == full_ys[: 5 * n + 1]
+
+
+def _full_turn_lattice(p, n):
+    # The lattice at arc indices [-2n, 7n] (index i + 2n), each quadrant a
+    # quarter turn of the placed quadrant [0, 2E).
+    h = _chart(p).eighth / n
+    pts = [_point_at_arc_from_zero(p, i * h).point for i in range(2 * n)]
+    x = [pt.x for pt in pts]
+    y = [pt.y for pt in pts]
+    neg_x = [-v for v in x]
+    neg_y = [-v for v in y]
+    xs = y + x + neg_y + neg_x + y[: n + 1]
+    ys = neg_x + y + x + neg_y + neg_x[: n + 1]
+    return xs, ys
+
+
+def _per_chord_violation(p, grid_size):
+    # verify_min_chord_monotone's sweep with one lp_norm call per chord,
+    # on the full turn's lattice, with the list form of the largest drop.
+    def drop(values):
+        return max([0.0] + [a - b for a, b in zip(values, values[1:])])
+
+    k = -(-256 // (grid_size - 1))
+    n = 2 * (grid_size - 1) * k
+    xs, ys = _full_turn_lattice(p, n)
+    mid_idx = list(range(2 * n, 3 * n, max(1, n // 510))) + [3 * n]
+    worst = 0.0
+    for j in range(1, grid_size):
+        s = 4 * k * j
+        chords = [
+            lp_norm(p, (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s])) for i in mid_idx
+        ]
+        worst = max(worst, drop(chords if p <= 2.0 else chords[::-1]))
+    return max(worst, drop([c for _, c in min_chord_curve(p, grid_size)]))
+
+
+@pytest.mark.parametrize("p", ORACLE_P)
+@pytest.mark.parametrize("grid", [64, 256])
+def test_min_chord_monotone_matches_per_chord_sweep(p, grid):
+    rep = verify_min_chord_monotone(p, grid)
+    worst = _per_chord_violation(p, grid)
+    assert rep.max_violation == worst
+    assert rep.passed == (worst <= rep.tol)
 
 
 class TestVerifyTangentialChordMonotone:
