@@ -21,12 +21,10 @@ tangential chord profile at the worst-case explored measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from math import fabs, hypot
 from operator import add, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .evacuation import AlgoParams, separation, worst_case_params
 from .lp_geometry import (
@@ -59,15 +57,13 @@ class Direction(Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class ChordArcSample:
+class ChordArcSample(NamedTuple):
     theta: float
     chord: float
     arc_len: float
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Outcome of a grid monotonicity check; passes iff the largest
     violation stays within the declared tolerance."""
 
@@ -181,9 +177,9 @@ def verify_min_chord_monotone(
       (at p = 2 the chord is constant up to rounding);
     - the values of :func:`min_chord_curve` do not drop as u grows.
 
-    max_violation is the largest step against either direction; the
-    reported direction is that in u.  Certifies non-strict monotonicity up
-    to floating noise only.
+    max_violation is the largest step against either direction, NaN (and
+    the check failed) if a chord is NaN; the reported direction is that in
+    u.  Certifies non-strict monotonicity up to floating noise only.
     """
     p = validate_p(p)
     if grid_size < 64:
@@ -194,12 +190,13 @@ def verify_min_chord_monotone(
     r = max(1, n // _MID_CELLS)
     # the lemma's direction, chosen by the same test as min_chord's end
     increasing = p <= 2.0
-    worst = 0.0
-    for j in range(1, grid_size):
-        chords = _lattice_chords(p, xs, ys, 2 * n, 3 * n, r, 4 * k * j)
-        worst = max(worst, _largest_drop(chords, increasing))
+    drops = [
+        _largest_drop(_lattice_chords(p, xs, ys, 2 * n, 3 * n, r, 4 * k * j), increasing)
+        for j in range(1, grid_size)
+    ]
     curve = [chord for _, chord in min_chord_curve(p, grid_size)]
-    worst = max(worst, _largest_drop(curve))
+    drops.append(_largest_drop(curve))
+    worst = _max_or_nan(drops)
     return MonotonicityReport(p, grid_size, Direction.INCREASING, tol, worst, worst <= tol)
 
 
@@ -236,12 +233,22 @@ def _lattice_chords(
 
 
 def _largest_drop(values: list[float], increasing: bool = True) -> float:
-    # The largest step of values against the given direction, or 0.0.
+    # The largest step of values against the given direction, or 0.0; NaN
+    # if a value is NaN.
     if increasing:
         steps = map(sub, values, values[1:])
     else:
         steps = map(sub, values[1:], values)
-    return max(chain((0.0,), steps))
+    return _max_or_nan([0.0, *steps])
+
+
+def _max_or_nan(values: list[float]) -> float:
+    # max(values), or NaN if one of them is NaN: max alone skips a NaN that
+    # is not first, and a NaN must fail a check (NaN <= tol is false).  The
+    # sum is NaN iff a value is NaN or both inf and -inf occur, which also
+    # fails; it costs a third of an isnan pass.
+    total = sum(values)
+    return total if total != total else max(values)
 
 
 def verify_tangential_chord_monotone(
@@ -255,7 +262,8 @@ def verify_tangential_chord_monotone(
     The arc length defaults to the worst-case explored measure for this p.
     Expected increasing for p < 2 and decreasing for p > 2; at p = 2 the
     profile is constant, so the report carries its full range as the
-    violation (direction INCREASING by convention).
+    violation (direction INCREASING by convention).  A NaN chord makes the
+    violation NaN and fails the check.
     """
     p = validate_p(p)
     if grid_size < 64:
@@ -264,7 +272,7 @@ def verify_tangential_chord_monotone(
         arc_len = worst_case_params(p).explored
     values = [s.chord for s in tangential_chord_profile(p, arc_len, grid_size)]
     if p == 2.0:
-        worst = max(values) - min(values)
+        worst = _max_or_nan(values) - min(values)
         direction = Direction.INCREASING
     else:
         direction = Direction.INCREASING if p < 2.0 else Direction.DECREASING

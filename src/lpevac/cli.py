@@ -11,7 +11,6 @@ exactly.  The max norm is spelled "inf".
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -226,7 +225,7 @@ def cmd_verify(
             {
                 "name": "min_chord_monotone",
                 "passed": rep_l.passed,
-                "max_violation": rep_l.max_violation,
+                "max_violation": _jsonable(rep_l.max_violation),
                 "tolerance": tol,
             }
         )
@@ -235,7 +234,7 @@ def cmd_verify(
             {
                 "name": "tangential_chord_monotone",
                 "passed": rep_s.passed,
-                "max_violation": rep_s.max_violation,
+                "max_violation": _jsonable(rep_s.max_violation),
                 "tolerance": tol,
                 "direction": rep_s.direction.value,
             }
@@ -247,7 +246,7 @@ def cmd_verify(
             {
                 "name": "min_chord_equals_critical_separation",
                 "passed": chord_gap <= chord_tol,
-                "max_violation": chord_gap,
+                "max_violation": _jsonable(chord_gap),
                 "tolerance": chord_tol,
             }
         )
@@ -255,7 +254,7 @@ def cmd_verify(
             {
                 "name": "optimality_gap",
                 "passed": abs(rep_o.gap) <= gap_tol,
-                "max_violation": abs(rep_o.gap),
+                "max_violation": _jsonable(abs(rep_o.gap)),
                 "tolerance": gap_tol,
             }
         )
@@ -277,10 +276,9 @@ def cmd_verify(
 
 
 def _jsonable(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+    # RFC 8259 JSON has no NaN or Infinity: write "nan", "inf" or "-inf"
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
     return x
 
 
@@ -320,6 +318,12 @@ def cmd_params(p: float) -> dict:
 def _emit_table(table: CurveTable, args) -> None:
     text = table.to_json() if args.format == "json" else table.to_csv()
     _write_out(text, args.out)
+
+
+def _write_json(doc: dict, out: Optional[str]) -> None:
+    import json  # on demand: a CSV command never loads json
+
+    _write_out(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def run_verify(a):
         code, report = cmd_verify(a.p_list, a.grid, a.tol, a.gap_tol, a.chord_tol)
-        _write_out(json.dumps(report, indent=2) + "\n", a.out)
+        _write_json(report, a.out)
         return code
 
     sp.set_defaults(handler=run_verify)
@@ -405,19 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("exit_phi", type=parse_angle)
     sp.add_argument("--out", default=None)
     sp.set_defaults(
-        handler=lambda a: _write_out(
-            json.dumps(cmd_simulate(a.p, a.phi, a.exit_phi), indent=2) + "\n", a.out
-        )
+        handler=lambda a: _write_json(cmd_simulate(a.p, a.phi, a.exit_phi), a.out)
     )
 
     sp = sub.add_parser("params", help="worst-case critical quantities at one p")
     sp.add_argument("p", type=parse_p)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(
-        handler=lambda a: _write_out(
-            json.dumps(cmd_params(a.p), indent=2) + "\n", a.out
-        )
-    )
+    sp.set_defaults(handler=lambda a: _write_json(cmd_params(a.p), a.out))
 
     return parser
 

@@ -17,9 +17,8 @@ the per-deployment cost curves in the chart coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lp_geometry import (
     QUARTER_PI,
@@ -78,23 +77,29 @@ class CostPiece(Enum):
     DIAG_Q3 = "diag_q3"  # phi = pi/4, exit in the third quadrant, s in [-1, -X]
 
 
-@dataclass(frozen=True)
-class AlgoParams:
+class _AlgoParamsFields(NamedTuple):
+    p: float
+    phi: float
+
+
+class AlgoParams(_AlgoParamsFields):
     """Search parameters: the norm p and the deployment angle phi in [0, pi/4]."""
 
-    p: float
-    phi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        validate_p(self.p)
-        if not -1e-12 <= self.phi <= QUARTER_PI + 1e-12:
-            raise DomainError(
-                f"deployment angle must lie in [0, pi/4], got {self.phi}"
-            )
+    def __new__(cls, p: float, phi: float = 0.0) -> "AlgoParams":
+        validate_p(p)
+        if not -1e-12 <= phi <= QUARTER_PI + 1e-12:
+            raise DomainError(f"deployment angle must lie in [0, pi/4], got {phi}")
+        return super().__new__(cls, p, phi)
+
+    @classmethod
+    def _make(cls, iterable) -> "AlgoParams":
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class EvacOutcome:
+class EvacOutcome(NamedTuple):
     """Result of one simulated exit placement."""
 
     exit: CirclePoint
@@ -104,8 +109,7 @@ class EvacOutcome:
     total_cost: float
 
 
-@dataclass(frozen=True)
-class CriticalParams:
+class CriticalParams(NamedTuple):
     """Worst-case exit data for the optimal deployment at this p.
 
     aux_root    root of w^p + 1 = 2(1 - w)^p, present on the diagonal branch

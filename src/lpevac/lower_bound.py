@@ -12,7 +12,7 @@ already tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chord_arc import min_chord
 from .evacuation import worst_case_cost, worst_case_params
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     """upper vs lower bounds at one p; gap = upper - generic_lower.
 
     generic_is_weak marks the rows p in {1, inf}, where the generic bound

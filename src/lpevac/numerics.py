@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "Tolerance",
@@ -34,8 +33,13 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _ToleranceFields(NamedTuple):
+    abs_tol: float
+    rel_tol: float
+    max_iter: int
+
+
+class Tolerance(_ToleranceFields):
     """Shared tolerance contract.
 
     abs_tol   absolute tolerance, must be > 0
@@ -43,21 +47,26 @@ class Tolerance:
     max_iter  iteration / subdivision-depth budget, must be >= 1
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_iter: int = 60
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.rel_tol < 0.0:
-            raise ValueError(f"rel_tol must be non-negative, got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+    def __new__(
+        cls, abs_tol: float = 1e-10, rel_tol: float = 1e-10, max_iter: int = 60
+    ) -> "Tolerance":
+        if not abs_tol > 0.0:
+            raise ValueError(f"abs_tol must be positive, got {abs_tol}")
+        if rel_tol < 0.0:
+            raise ValueError(f"rel_tol must be non-negative, got {rel_tol}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        return super().__new__(cls, abs_tol, rel_tol, max_iter)
+
+    @classmethod
+    def _make(cls, iterable) -> "Tolerance":
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BracketedRoot:
+class BracketedRoot(NamedTuple):
     """Result of a bracketed root search.
 
     The root lies in [lo, hi]; ``residual`` is f(root).  The residual is

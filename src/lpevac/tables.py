@@ -8,8 +8,7 @@ lines and records every parameter needed to rebuild the table.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["CurveTable", "quantize"]
 
@@ -23,11 +22,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass
-class CurveTable:
+class CurveTable(NamedTuple):
     columns: tuple[str, ...]
     rows: list[tuple[float, ...]]
-    metadata: dict[str, str] = field(default_factory=dict)
+    metadata: dict[str, str]
 
     @classmethod
     def build(
@@ -77,6 +75,8 @@ class CurveTable:
         return cls(header, rows, metadata)
 
     def to_json(self) -> str:
+        import json  # on demand: a CSV command never loads json
+
         data = {name: self.column(name) for name in self.columns}
         doc = {
             "metadata": self.metadata,
@@ -87,6 +87,8 @@ class CurveTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CurveTable":
+        import json
+
         doc = json.loads(text)
         columns = tuple(doc["columns"])
         series = [doc["data"][name] for name in columns]

@@ -302,6 +302,51 @@ class TestVerifyMinChordMonotone:
         assert not rep.passed
         assert rep.max_violation == pytest.approx(1e-6, rel=0.05)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("where", [0, 315, -1])
+    @pytest.mark.parametrize("row", [1, 40, 63])
+    def test_nan_lattice_chord_fails(self, p, where, row, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        rows = [0]
+        kernel = chord_arc._lattice_chords
+
+        def poisoned(*args):
+            chords = kernel(*args)
+            rows[0] += 1
+            if rows[0] == row:
+                chords[where] = math.nan
+            return chords
+
+        monkeypatch.setattr(chord_arc, "_lattice_chords", poisoned)
+        rep = verify_min_chord_monotone(p, 64)
+        assert rows[0] == 63
+        assert not rep.passed and math.isnan(rep.max_violation)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("where", [1, 32, -1])
+    def test_nan_curve_value_fails(self, p, where, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        curve = chord_arc.min_chord_curve
+
+        def poisoned(p, steps):
+            rows = curve(p, steps)
+            rows[where] = (rows[where][0], math.nan)
+            return rows
+
+        monkeypatch.setattr(chord_arc, "min_chord_curve", poisoned)
+        rep = verify_min_chord_monotone(p, 64)
+        assert not rep.passed and math.isnan(rep.max_violation)
+
+    def test_largest_drop_sees_nan_anywhere(self):
+        from lpevac.chord_arc import _largest_drop
+
+        assert _largest_drop([1.0, 0.0]) == 1.0
+        for values in ([math.nan, 1.0, 0.0], [1.0, math.nan, 0.0], [1.0, 0.0, math.nan]):
+            assert math.isnan(_largest_drop(values))
+            assert math.isnan(_largest_drop(values, increasing=False))
+
 
 KERNEL_P = (1.0, 1.0 + 1e-7, 1.001, 1.5, 2.0, 3.7, 20.0, 1e4, 1e17, INF)
 ORACLE_P = (1.001, 1.5, 2.0, 3.0, 45.0, 1e4, INF)
@@ -412,6 +457,23 @@ class TestVerifyTangentialChordMonotone:
     def test_above_two_decreasing(self):
         rep = verify_tangential_chord_monotone(3.0, 512, 1e-9)
         assert rep.direction is Direction.DECREASING and rep.passed
+
+    # p = 2 takes the profile's range, the other p its largest drop
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("where", [0, 32, -1])
+    def test_nan_profile_value_fails(self, p, where, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        profile = chord_arc.tangential_chord_profile
+
+        def poisoned(p, arc_len, grid_size):
+            samples = profile(p, arc_len, grid_size)
+            samples[where] = samples[where]._replace(chord=math.nan)
+            return samples
+
+        monkeypatch.setattr(chord_arc, "tangential_chord_profile", poisoned)
+        rep = verify_tangential_chord_monotone(p, 64, 1e-6)
+        assert not rep.passed and math.isnan(rep.max_violation)
 
 
 # Independent reconstruction of the tangential chord curve: anchor points

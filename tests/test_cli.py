@@ -1,5 +1,9 @@
+import ast
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +290,39 @@ class TestMainEntry:
         else:
             assert doc["total_cost"] == pytest.approx(5.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "p,check,target",
+        [
+            ("3", 0, "_lattice_chords"),
+            ("2", 1, "tangential_chord_profile"),
+            ("1.5", 1, "tangential_chord_profile"),
+        ],
+    )
+    def test_verify_nan_violation_fails_as_strict_json(
+        self, p, check, target, monkeypatch, capsys
+    ):
+        import lpevac.chord_arc as chord_arc
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        original = getattr(chord_arc, target)
+
+        def poisoned(*args):
+            values = original(*args)
+            if target == "_lattice_chords":
+                values[1] = math.nan
+            else:
+                values[1] = values[1]._replace(chord=math.nan)
+            return values
+
+        monkeypatch.setattr(chord_arc, target, poisoned)
+        assert main(["verify", p, "--grid", "64"]) == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        failed = doc["results"][0]["checks"][check]
+        assert failed["max_violation"] == "nan" and failed["passed"] is False
+        assert doc["passed"] is False
+
     def test_verify_large_p_passes_silently(self, capsys):
         assert main(["verify", "100", "--grid", "64"]) == 0
         captured = capsys.readouterr()
@@ -328,3 +365,32 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(["pi", "0.2", "1"])  # p below 1 rejected by the parser
         assert exc.value.code == 2
+
+
+# Modules that a command must not import: dataclasses brings in inspect, ast,
+# dis and tokenize, which together were about 22 ms (40%) of importing
+# lpevac.cli on a 2-vCPU host.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cold_start_imports():
+    # -S: no site module, so nothing the interpreter's site set-up preloads
+    # hides or adds a module
+    code = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+heavy = {HEAVY_MODULES!r}
+import lpevac.cli
+lpevac.cli.build_parser()
+after_import = [m for m in heavy if m in sys.modules]
+code = lpevac.cli.main(["pi", "2", "3", "--steps", "3"])
+print(repr((after_import, "json" in sys.modules, code)))
+"""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    *table, last = done.stdout.splitlines()
+    assert table[-4:-2] == ["p,pi_p", "2,3.14159265359"] and len(table[-2:]) == 2
+    assert ast.literal_eval(last) == ([], False, 0)
