@@ -200,8 +200,12 @@ def aux_root_equation(p: float, w: float) -> float:
 
 
 def _axis_branch(p: float) -> tuple[Optional[float], float, float, float]:
-    # Critical data for deployment phi = 0, valid for p in (1, 2].
-    s = ((2.0**p - 1.0) ** (1.0 / (p - 1.0)) + 1.0) ** (-1.0 / p)
+    # Critical data for deployment phi = 0, valid for p in (1, 2].  The exit
+    # coordinate is s = ((2^p - 1)^(1/(p-1)) + 1)^(-1/p); the power 1/(p-1)
+    # would amplify the rounding of 2^p - 1 near p = 1, so the inner power
+    # is formed from 2^p - 1 = 1 + 2 (2^(p-1) - 1) in log space.
+    q = p - 1.0
+    s = (math.exp(math.log1p(2.0 * math.expm1(q * math.log(2.0))) / q) + 1.0) ** (-1.0 / p)
     explored = half_perimeter(p) + 2.0 * _quarter_arc_integral(p, s)
     sep = 2.0 * _ypow(p, s)
     return None, s, explored, sep

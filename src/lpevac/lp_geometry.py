@@ -18,7 +18,9 @@ makes arc-length evaluation and inversion cheap enough for dense sweeps: it
 cuts the segment into a few to a few dozen panels, each carrying the
 Chebyshev series of the integral of the speed, so evaluating H is one
 Clenshaw sum and inverting it a few Newton steps.  pi_p itself comes from
-the independent adaptive quadrature.  The module-level caches of charts
+the independent adaptive quadrature, one integral whose panels start cut at
+break points: for p > 4 the knee where the speed starts its rise to the
+fold, and dyadic points toward the fold.  The module-level caches of charts
 and of pi_p hold a fixed number of entries and drop the oldest on
 insert.  Rebuilding an entry is deterministic and inserts take a lock, so
 the caches are safe under concurrent use.
@@ -161,25 +163,44 @@ def _fold_limit(p: float) -> float:
 
 def _knee(p: float) -> float:
     # For large p the speed stays near 1 until it rises to 2^(1/p) within
-    # about 1/(2 p^2) of the fold; a break point at this knee lets the
-    # quadrature and the chart resolve the rise.
+    # about 1/(2 p^2) of the fold; the knee is a break point of the arc
+    # integral and of the chart, so both resolve the rise.
     return _fold_limit(p) * math.exp(-40.0 / (p * p))
 
 
+def _fold_levels(p: float) -> int:
+    # Levels of dyadic break points toward the fold in pi_p's integral.
+    # Bisection halves the segment that ends at the fold, [knee, fold] or
+    # [0, fold] for p <= 4, about this many times anyway; starting from those
+    # halves skips evaluating the panels they replace, while each level past
+    # what bisection needs costs one extra panel.  Fewer levels suffice as p
+    # grows, because the rise at the fold adds less to the integral.
+    if p <= 4.0:
+        return 3
+    return min(4, max(0, int(math.log2(2560.0 / p))))
+
+
 def _quarter_arc_integral(p: float, upper: float) -> float:
-    """Arc length of the chart from 0 to ``upper`` <= fold limit, one shot."""
+    """Arc length of the chart from 0 to ``upper`` <= fold limit, one shot.
+
+    One adaptive quadrature from break points: the knee for p > 4 and, for
+    the whole folded segment (pi_p / 4) with p >= 2, the dyadic points that
+    bisection would reach toward the fold.  Below p = 2 the panels grade
+    toward z = 0 instead, by a number of levels that varies with p.
+    """
     if upper <= 0.0:
         return 0.0
     if p == 1.0:
         return 2.0 * upper
     if math.isinf(p):
         return upper
-    speed = partial(_speed, p)
-    knee = _knee(p)
-    if p <= 4.0 or upper <= knee:
-        return integrate_adaptive(speed, 0.0, upper, _QUAD_TOL)
-    head = integrate_adaptive(speed, 0.0, knee, _QUAD_TOL)
-    return head + integrate_adaptive(speed, knee, upper, _QUAD_TOL)
+    start = _knee(p) if p > 4.0 else 0.0
+    points = [start]
+    if p >= 2.0 and upper == _fold_limit(p):
+        for _ in range(_fold_levels(p)):
+            start = 0.5 * (start + upper)
+            points.append(start)
+    return integrate_adaptive(partial(_speed, p), 0.0, upper, _QUAD_TOL, points)
 
 
 # Per-p caches, bounded.  A chart holds a few KiB, up to about 30 KiB near

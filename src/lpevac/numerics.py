@@ -3,7 +3,8 @@
 Three primitives with explicit tolerance contracts, used by every other
 module of the package:
 
-* ``integrate_adaptive``  globally adaptive Gauss-Kronrod (G7, K15) quadrature,
+* ``integrate_adaptive``  globally adaptive Gauss-Kronrod (G7, K15) quadrature
+                          from optional break points,
 * ``find_root_bracketed`` Brent's method with guaranteed bisection fallback,
 * ``maximize_1d``         dense grid scan refined by golden-section search.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "Tolerance",
@@ -146,6 +147,7 @@ def integrate_adaptive(
     a: float,
     b: float,
     tol: Tolerance,
+    points: Iterable[float] = (),
 ) -> float:
     """Integrate f over [a, b] to max(abs_tol, rel_tol * |I|).
 
@@ -154,17 +156,26 @@ def integrate_adaptive(
     at most ``tol.max_iter`` times; exhausting that budget while the target
     is still unmet raises :class:`IntegrationError` carrying the best
     estimate and its error bound.
+
+    ``points`` are break points, as in QUADPACK's ``qagp``: [a, b] is first
+    cut at the distinct points strictly inside it, one panel per piece, and
+    all pieces share the one error target.  Points outside (a, b) are
+    ignored, so ``points=()`` integrates from the single panel [a, b].
     """
     if not a <= b:
         raise ValueError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:
         return 0.0
 
-    est, err = _gk15(f, a, b)
-    total_est = est
-    total_err = err
+    cuts = [a, *sorted({x for x in points if a < x < b}), b]
     # heap entries: (-err, a, b, est, err, depth)
-    heap = [(-err, a, b, est, err, 0)]
+    heap = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        est, err = _gk15(f, lo, hi)
+        heap.append((-err, lo, hi, est, err, 0))
+    total_est = sum(entry[3] for entry in heap)
+    total_err = sum(entry[4] for entry in heap)
+    heapq.heapify(heap)
     while total_err > max(tol.abs_tol, tol.rel_tol * abs(total_est)):
         _, a0, b0, est0, err0, depth = heapq.heappop(heap)
         mid = 0.5 * (a0 + b0)

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,15 +17,19 @@ from lpevac import (
     unit_circle_point,
     validate_p,
 )
-from lpevac import lp_geometry
+from lpevac import lp_geometry, numerics
 from lpevac.lp_geometry import (
+    _QUAD_TOL,
     _arc_from_zero,
     _chart,
     _fold_limit,
+    _knee,
     _point_at_arc_from_zero,
+    _quarter_arc_integral,
     _speed,
     _ypow,
 )
+from lpevac.numerics import integrate_adaptive
 
 P_PALETTE = [1.0, 1.1, 1.3, 1.5, 2.0, 2.5, 3.0, 7.5, 20.0, INF]
 TWO_PI = 2.0 * math.pi
@@ -132,22 +137,23 @@ def _log_space_speed(p, z):
     return math.exp(math.log1p(math.exp(lg)) / p)
 
 
-# _speed calls of one cold half_perimeter at each p of the mpmath fixture.
-# They pin the quadrature's panels, and that every evaluation goes through
-# the one speed formula.
+# _speed calls of one cold half_perimeter at each p of the mpmath fixture,
+# 15 per GK15 panel.  They pin the quadrature's break points (the knee and
+# the dyadic points toward the fold) plus the bisection that follows, and
+# that every evaluation goes through the one speed formula.
 SPEED_EVALS_PER_HALF_PERIMETER = {
     1.001: 705,
     1.0625: 795,
     1.5: 435,
-    2.0: 75,
-    3.0: 105,
-    10.0: 150,
-    45.0: 150,
-    50.5: 150,
-    100.0: 150,
-    200.0: 120,
-    500.0: 120,
-    1000.0: 90,
+    2.0: 60,
+    3.0: 60,
+    10.0: 90,
+    45.0: 90,
+    50.5: 90,
+    100.0: 90,
+    200.0: 75,
+    500.0: 90,
+    1000.0: 75,
     10000.0: 30,
 }
 
@@ -224,6 +230,88 @@ class TestHalfPerimeter:
         assert half_perimeter(p) >= math.pi - 1e-9
         # away from p=2 the half perimeter sits strictly above pi
         assert half_perimeter(p) - math.pi > 1e-8
+
+
+# The p of the perimeter_sweep workload's lattice from 2 on (1/32 apart up
+# to 45, 1/2 apart up to 1000), plus large p, where the knee nears the fold
+# and, from about 8.5e8, rounds to it.
+DENSE_P = (
+    [1.0 + k / 32 for k in range(32, 1409)]
+    + [45.0 + k / 2 for k in range(1, 1911)]
+    + [1e4, 1e5, 1e9, 1e15]
+)
+
+
+def _count_gk15(monkeypatch):
+    calls = [0]
+    gk15 = numerics._gk15
+
+    def counted(f, a, b):
+        calls[0] += 1
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(numerics, "_gk15", counted)
+    return calls
+
+
+def _head_tail_quarter_arc(p):
+    # pi_p / 4 before break points: for p > 4 the integrals over [0, knee]
+    # and [knee, fold], each bisected from one panel to its own target.
+    speed = partial(lp_geometry._speed, p)
+    fold, knee = _fold_limit(p), _knee(p)
+    if p <= 4.0 or fold <= knee:
+        return integrate_adaptive(speed, 0.0, fold, _QUAD_TOL, points=())
+    head = integrate_adaptive(speed, 0.0, knee, _QUAD_TOL, points=())
+    return head + integrate_adaptive(speed, knee, fold, _QUAD_TOL, points=())
+
+
+class TestHalfPerimeterBreakPoints:
+    def test_no_more_panels_than_head_tail_bisection(self, monkeypatch):
+        calls = _count_gk15(monkeypatch)
+        monkeypatch.setattr(lp_geometry, "_PERIMETER_CACHE", {})
+        more = []
+        total = [0, 0]
+        for p in DENSE_P:
+            calls[0] = 0
+            _head_tail_quarter_arc(p)
+            before = calls[0]
+            calls[0] = 0
+            lp_geometry._PERIMETER_CACHE.clear()
+            half_perimeter(p)
+            if calls[0] > before:
+                more.append((p, before, calls[0]))
+            total[0] += before
+            total[1] += calls[0]
+        assert more == []
+        # 28,129 -> 18,908 on these p (-33%)
+        assert total[1] <= 0.7 * total[0]
+
+    def test_agrees_with_the_chart(self):
+        worst = max(abs(half_perimeter(p) - 4.0 * _chart(p).eighth) / half_perimeter(p) for p in DENSE_P)
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0, 4.0, 4.5, 45.0, 1e4, 1e9, 1e15])
+    def test_one_quadrature_per_integral(self, p, monkeypatch):
+        breaks = []
+        integrate = lp_geometry.integrate_adaptive
+
+        def recorded(f, a, b, tol, points=()):
+            breaks.append(sorted(x for x in points if a < x < b))
+            return integrate(f, a, b, tol, points)
+
+        monkeypatch.setattr(lp_geometry, "integrate_adaptive", recorded)
+        monkeypatch.setattr(lp_geometry, "_PERIMETER_CACHE", {})
+        half_perimeter(p)
+        fold = _fold_limit(p)
+        for frac in (0.3, 0.9, 0.999999):
+            _quarter_arc_integral(p, frac * fold)
+        assert len(breaks) == 4
+        # Only pi_p is graded toward the fold; explored measures break at
+        # the knee alone (none where it rounds to the fold, p >= 8.5e8).
+        knee = [_knee(p)] if p > 4.0 and _knee(p) < fold else []
+        assert breaks[0][: len(knee)] == knee
+        for below_fold, frac in zip(breaks[1:], (0.3, 0.9, 0.999999)):
+            assert below_fold == [x for x in knee if x < frac * fold]
 
 
 class TestArcLength:

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from lpevac.numerics import (
     integrate_adaptive,
     maximize_1d,
 )
+from lpevac import numerics
 from lpevac.numerics import _gk15
 
 TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
@@ -92,6 +94,110 @@ class TestIntegrateAdaptive:
         whole = integrate_adaptive(f, 0.0, 3.0, TOL)
         split = integrate_adaptive(f, 0.0, b, TOL) + integrate_adaptive(f, b, 3.0, TOL)
         assert abs(whole - split) <= 2.0 * TOL.abs_tol
+
+
+def _bisection_from_one_panel(f, a, b, tol):
+    # The quadrature before break points: one GK15 panel on [a, b], then
+    # bisection of the worst panel, as integrate_adaptive still runs it.
+    est, err = _gk15(f, a, b)
+    total_est, total_err = est, err
+    heap = [(-err, a, b, est, err)]
+    while total_err > max(tol.abs_tol, tol.rel_tol * abs(total_est)):
+        _, a0, b0, est0, err0 = heapq.heappop(heap)
+        mid = 0.5 * (a0 + b0)
+        e1, r1 = _gk15(f, a0, mid)
+        e2, r2 = _gk15(f, mid, b0)
+        total_est += e1 + e2 - est0
+        total_err += r1 + r2 - err0
+        heapq.heappush(heap, (-r1, a0, mid, e1, r1))
+        heapq.heappush(heap, (-r2, mid, b0, e2, r2))
+    return total_est
+
+
+def _counted(monkeypatch):
+    # Count the GK15 panels integrate_adaptive evaluates.
+    calls = [0]
+    gk15 = numerics._gk15
+
+    def counted(f, a, b):
+        calls[0] += 1
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(numerics, "_gk15", counted)
+    return calls
+
+
+INTEGRANDS = [
+    (math.sin, 0.0, 3.0),
+    (lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 3.0),
+    (math.sqrt, 0.0, 2.0),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
+    (lambda z: (z**6 * (1.0 - z**3) ** -2.0 + 1.0) ** (1.0 / 3.0), 0.0, 2.0 ** (-1.0 / 3.0)),
+]
+
+
+class TestBreakPoints:
+    @pytest.mark.parametrize("f, a, b", INTEGRANDS)
+    def test_no_points_is_the_bisection_bit_for_bit(self, f, a, b):
+        ref = _bisection_from_one_panel(f, a, b, TOL)
+        assert integrate_adaptive(f, a, b, TOL) == ref
+        assert integrate_adaptive(f, a, b, TOL, points=()) == ref
+
+    @pytest.mark.parametrize("f, a, b", INTEGRANDS)
+    def test_points_outside_or_at_the_ends_are_ignored(self, f, a, b, monkeypatch):
+        calls = _counted(monkeypatch)
+        ref = integrate_adaptive(f, a, b, TOL)
+        panels = calls[0]
+        calls[0] = 0
+        ignored = [a, b, a - 1.0, b + 1.0, a, b, math.nan, -math.inf, math.inf]
+        assert integrate_adaptive(f, a, b, TOL, points=ignored) == ref
+        assert calls[0] == panels
+
+    @pytest.mark.parametrize("f, a, b", INTEGRANDS)
+    def test_repeated_points_count_once(self, f, a, b, monkeypatch):
+        calls = _counted(monkeypatch)
+        third, half = a + (b - a) / 3.0, 0.5 * (a + b)
+        ref = integrate_adaptive(f, a, b, TOL, points=[third, half])
+        panels = calls[0]
+        calls[0] = 0
+        repeated = [half, third, half, third, third, b, half]
+        assert integrate_adaptive(f, a, b, TOL, points=repeated) == ref
+        assert calls[0] == panels
+
+    @pytest.mark.parametrize("c", [0.3, 1.3, 2.0 / 3.0, math.pi / 2.0])
+    def test_kink_at_a_break_point_takes_two_panels(self, c, monkeypatch):
+        # |x - c| is linear on either side of c: GK15 is exact on each piece,
+        # so no panel is bisected.
+        calls = _counted(monkeypatch)
+        f = lambda x: abs(x - c)
+        value = integrate_adaptive(f, 0.0, 3.0, TOL, points=[c])
+        assert calls[0] == 2
+        exact = 0.5 * c * c + 0.5 * (3.0 - c) ** 2
+        assert abs(value - exact) <= 4.0 * math.ulp(exact)
+
+    def test_kink_without_the_break_point_needs_bisection(self, monkeypatch):
+        calls = _counted(monkeypatch)
+        integrate_adaptive(lambda x: abs(x - 1.3), 0.0, 3.0, TOL)
+        assert calls[0] > 2
+
+    def test_pieces_share_one_error_target(self, monkeypatch):
+        # Break points only seed the heap: the bisection that follows stops
+        # on the summed estimate, so an unresolved piece is still bisected.
+        calls = _counted(monkeypatch)
+        f = lambda x: math.sin(40.0 * x) ** 2
+        value = integrate_adaptive(f, 0.0, 3.0, TOL, points=[1.0, 2.0])
+        assert calls[0] > 3
+        assert abs(value - (1.5 - math.sin(240.0) / 160.0)) <= 1e-9
+
+    def test_depth_exhaustion_still_raises(self):
+        tiny_budget = Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=2)
+        with pytest.raises(IntegrationError) as exc:
+            integrate_adaptive(
+                lambda x: math.sin(40.0 * x) ** 2, 0.0, 3.0, tiny_budget, points=[1.0, 2.0]
+            )
+        err = exc.value
+        exact = 1.5 - math.sin(240.0) / 160.0
+        assert abs(err.estimate - exact) <= err.error_bound + 1e-6
 
 
 class TestFindRootBracketed:

@@ -3,7 +3,8 @@ against a high-precision fixture and the independent quadrature.
 
 ``tests/data/reference.json`` holds mpmath values at 20 digits, written by
 ``tools/make_reference.py``; this module reads only the JSON.  It also
-holds the diagonal deployment's aux root for p >= 2, up to p = 1e15.
+holds the diagonal deployment's aux root for p >= 2, up to p = 1e15, and
+the axis deployment's exit coordinate down to p = 1 + 2^-52.
 """
 import json
 import math
@@ -67,6 +68,13 @@ def test_half_perimeter_to_rounding(row):
 def test_aux_root(p, ref):
     # The root is about ln 2 / p, so only a relative stop finds it at large p.
     assert _rel(worst_case_params(p, Branch.DIAGONAL).aux_root, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("p, ref", FIXTURE["axis_exit"], ids=[f"p={p!r}" for p, _ in FIXTURE["axis_exit"]])
+def test_axis_exit_coord(p, ref):
+    # The power 1/(p - 1) of the closed form amplifies the rounding of
+    # 2^p - 1: formed directly, s was 0.2315 against 0.2 at p = 1 + 1e-15.
+    assert _rel(worst_case_params(p).exit_coord, ref) <= 1e-14
 
 
 @pytest.mark.parametrize("p", [row["p"] for row in ROWS] + [1.0, math.inf], ids=lambda p: f"p={p}")

@@ -8,7 +8,9 @@ holds the chart arc length H(x) at ``ARC_POINTS`` interior points x of the
 folded chart segment [0, 2^(-1/p)], as ``[x, H(x)]`` pairs, and, as
 ``[p, w]`` pairs, the root w of w^p + 1 = 2 (1 - w)^p of the diagonal
 deployment for the p >= 2 of ``P_VALUES`` and the large p of
-``AUX_ROOT_EXTRA_P``.  The tier-1 tests read only the JSON, so they need no
+``AUX_ROOT_EXTRA_P``, and, as ``[p, s]`` pairs under ``axis_exit``, the
+axis deployment's exit coordinate s for the p of ``AXIS_EXIT_P``, down to
+p = 1 + 2^-52.  The tier-1 tests read only the JSON, so they need no
 mpmath.
 
 Run from anywhere with ``python3 tools/make_reference.py``; it takes about a
@@ -29,6 +31,7 @@ from reference import DPS, _arc, critical_ref, pi_ref  # noqa: E402
 P_VALUES = (1.001, 1.0625, 1.5, 2.0, 3.0, 10.0, 45.0, 50.5, 100.0, 200.0, 500.0, 1000.0, 10000.0)
 ARC_POINTS = 7  # x = fold * k / 8, k = 1 .. 7
 AUX_ROOT_EXTRA_P = (1e9, 1e12, 1e15)
+AXIS_EXIT_P = (1.0 + 2.0**-52, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.000001, 1.001, 1.0625, 1.5, 1.9, 2.0)
 OUT = ROOT / "tests" / "data" / "reference.json"
 
 
@@ -54,6 +57,17 @@ def aux_root(p: float) -> float:
         return float(mp.findroot(f, (lo, hi), solver="anderson") * scale)
 
 
+def axis_exit(p: float) -> float:
+    """Exit coordinate s = ((2^p - 1)^(1/(p-1)) + 1)^(-1/p) for 1 < p <= 2.
+
+    The power 1/(p - 1) multiplies the relative error of 2^p - 1 by up to
+    2^52 at p = 1 + 2^-52, so the working precision is 3 * DPS digits.
+    """
+    with mp.workdps(3 * DPS):
+        p = mp.mpf(p)
+        return float(mp.power(mp.power(mp.power(2, p) - 1, 1 / (p - 1)) + 1, -1 / p))
+
+
 def build() -> dict:
     rows = []
     for p in P_VALUES:
@@ -66,7 +80,14 @@ def build() -> dict:
             row["arc"] = [[x, float(_arc(mp.mpf(p), mp.mpf(x)))] for x in xs]
         rows.append(row)
     aux = [[p, aux_root(p)] for p in P_VALUES + AUX_ROOT_EXTRA_P if p >= 2.0]
-    return {"source": "perfbench/reference.py (mpmath)", "dps": DPS, "values": rows, "aux_root": aux}
+    axis = [[p, axis_exit(p)] for p in AXIS_EXIT_P]
+    return {
+        "source": "perfbench/reference.py (mpmath)",
+        "dps": DPS,
+        "values": rows,
+        "aux_root": aux,
+        "axis_exit": axis,
+    }
 
 
 def main() -> None:
