@@ -22,11 +22,9 @@ from .chord_arc import (
 from .evacuation import (
     AlgoParams,
     Branch,
-    CostPiece,
     CriticalParams,
     EvacOutcome,
     aux_root_equation,
-    evac_cost_curve,
     evac_time,
     robot_positions,
     separation,
@@ -87,7 +85,6 @@ __all__ = [
     "chord_length",
     # evacuation
     "Branch",
-    "CostPiece",
     "AlgoParams",
     "EvacOutcome",
     "CriticalParams",
@@ -99,7 +96,6 @@ __all__ = [
     "worst_case_params",
     "worst_case_cost",
     "worst_case_grid_oracle",
-    "evac_cost_curve",
     # chord / arc
     "Direction",
     "ChordArcSample",

@@ -111,6 +111,8 @@ def _p_grid(p_min: float, p_max: float, steps: int) -> list[float]:
         raise UsageError("range commands need finite p bounds")
     if not 1.0 <= p_min <= p_max:
         raise UsageError(f"need 1 <= p_min <= p_max, got [{p_min}, {p_max}]")
+    if steps < 1:
+        raise UsageError(f"need at least 1 step, got {steps}")
     if p_min == p_max:
         return [p_min]
     if steps < 2:
@@ -328,8 +330,11 @@ def _write_json(doc: dict, out: Optional[str]) -> None:
 
 def _write_out(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

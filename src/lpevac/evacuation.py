@@ -11,8 +11,9 @@ and the adversary places the exit to maximize it.  The two deployments
 worth analyzing are the axis point rho_p(0) and the diagonal point
 rho_p(pi/4); the axis deployment is optimal for p <= 2 and the diagonal
 one for p >= 2.  This module provides the simulation, the closed-form
-worst case with its critical quantities, an independent grid oracle, and
-the per-deployment cost curves in the chart coordinate.
+worst case with its critical quantities and an independent grid oracle.
+The closed forms read every arc length from the chart and pi_p from
+:func:`half_perimeter`.
 """
 from __future__ import annotations
 
@@ -27,9 +28,7 @@ from .lp_geometry import (
     Point2,
     _arc_from_zero,
     _chart,
-    _fold_limit,
     _point_at_arc_from_zero,
-    _quarter_arc_integral,
     _reduce_angle,
     _ypow,
     chord_length,
@@ -41,7 +40,6 @@ from .numerics import Tolerance, find_root_bracketed, maximize_1d
 
 __all__ = [
     "Branch",
-    "CostPiece",
     "AlgoParams",
     "EvacOutcome",
     "CriticalParams",
@@ -53,7 +51,6 @@ __all__ = [
     "worst_case_params",
     "worst_case_cost",
     "worst_case_grid_oracle",
-    "evac_cost_curve",
 ]
 
 # The aux root is about ln 2 / p, so an absolute stop loses it at large p.
@@ -67,14 +64,6 @@ class Branch(Enum):
 
     AXIS = "axis"
     DIAGONAL = "diagonal"
-
-
-class CostPiece(Enum):
-    """Which deployment cost curve to evaluate, by deployment and region."""
-
-    AXIS = "axis"  # phi = 0, exit in the second quadrant, s in [0, 1]
-    DIAG_Q2 = "diag_q2"  # phi = pi/4, exit in the second quadrant, s in [X, 1]
-    DIAG_Q3 = "diag_q3"  # phi = pi/4, exit in the third quadrant, s in [-1, -X]
 
 
 class _AlgoParamsFields(NamedTuple):
@@ -206,7 +195,7 @@ def _axis_branch(p: float) -> tuple[Optional[float], float, float, float]:
     # is formed from 2^p - 1 = 1 + 2 (2^(p-1) - 1) in log space.
     q = p - 1.0
     s = (math.exp(math.log1p(2.0 * math.expm1(q * math.log(2.0))) / q) + 1.0) ** (-1.0 / p)
-    explored = half_perimeter(p) + 2.0 * _quarter_arc_integral(p, s)
+    explored = half_perimeter(p) + 2.0 * _chart(p).arc(s)
     sep = 2.0 * _ypow(p, s)
     return None, s, explored, sep
 
@@ -221,8 +210,7 @@ def _diagonal_branch(p: float) -> tuple[Optional[float], float, float, float]:
     s = (wq + 1.0) ** (-1.0 / p)
     # (1 - s^p)^(1/p) computed from the exact value s^p = 1 / (1 + wq)
     s_dual = (wq / (1.0 + wq)) ** (1.0 / p)
-    pi_p = half_perimeter(p)
-    explored = 1.5 * pi_p - 2.0 * _quarter_arc_integral(p, s_dual)
+    explored = 1.5 * half_perimeter(p) - 2.0 * _chart(p).arc(s_dual)
     sep = 2.0 ** (1.0 / p) * (s_dual + s)
     return w, s, explored, sep
 
@@ -288,42 +276,3 @@ def worst_case_grid_oracle(params: AlgoParams, n_grid: int = 4096) -> tuple[floa
         Tolerance(abs_tol=1e-10, rel_tol=0.0),
         n_grid=n_grid,
     )
-
-
-def evac_cost_curve(p: float, s: float, piece: CostPiece) -> float:
-    """Evacuation cost as a function of the finder's chart coordinate.
-
-    AXIS      deployment phi = 0, finder at (-s, (1-s^p)^(1/p)), s in [0, 1]
-    DIAG_Q2   deployment phi = pi/4, same chart, s in [2^(-1/p), 1]
-    DIAG_Q3   deployment phi = pi/4, finder past (-1, 0), s in [-1, -2^(-1/p)]
-
-    The worst case of the optimal deployment is the maximum of the matching
-    curve; DIAG_Q3 has no interior critical point.
-    """
-    p = validate_p(p)
-    if p <= 1.0 or math.isinf(p):
-        raise DomainError("cost curves require finite p > 1")
-    fold = _fold_limit(p)
-    pi_p = half_perimeter(p)
-    if piece is CostPiece.AXIS:
-        if not 0.0 <= s <= 1.0:
-            raise DomainError(f"axis curve needs s in [0, 1], got {s}")
-        y = _ypow(p, s)
-        if s <= fold:
-            searched = _quarter_arc_integral(p, s)
-        else:
-            searched = 0.5 * pi_p - _quarter_arc_integral(p, y)
-        return 1.0 + 0.5 * pi_p + searched + 2.0 * y
-    if piece is CostPiece.DIAG_Q2:
-        if not fold - 1e-12 <= s <= 1.0:
-            raise DomainError(f"diagonal Q2 curve needs s in [{fold}, 1], got {s}")
-        y = _ypow(p, s)
-        searched = 0.25 * pi_p - _quarter_arc_integral(p, y)
-        return 1.0 + 0.5 * pi_p + searched + 2.0 ** (1.0 / p) * (y + s)
-    if piece is CostPiece.DIAG_Q3:
-        if not -1.0 <= s <= -fold + 1e-12:
-            raise DomainError(f"diagonal Q3 curve needs s in [-1, {-fold}], got {s}")
-        y = _ypow(p, s)
-        searched = _quarter_arc_integral(p, y)
-        return 1.0 + 0.75 * pi_p + searched - 2.0 ** (1.0 / p) * (y + s)
-    raise DomainError(f"unknown cost piece {piece!r}")

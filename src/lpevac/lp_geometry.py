@@ -13,14 +13,14 @@ Arc length is measured in the l_p metric itself.  The chart speed diverges
 as |s| -> 1, so every integral here is folded into the chart segment
 s in [0, 2^(-1/p)] using the reflection symmetries of C_p (the lines y=0,
 x=0, y=x, y=-x all map C_p to itself); the singular region is never
-evaluated.  A per-p chart of H, the arc length from 0 on that segment,
-makes arc-length evaluation and inversion cheap enough for dense sweeps: it
-cuts the segment into a few to a few dozen panels, each carrying the
-Chebyshev series of the integral of the speed, so evaluating H is one
-Clenshaw sum and inverting it a few Newton steps.  pi_p itself comes from
-the independent adaptive quadrature, one integral whose panels start cut at
-break points: for p > 4 the knee where the speed starts its rise to the
-fold, and dyadic points toward the fold.  The module-level caches of charts
+evaluated.  Every arc length is read from a per-p chart of H, the arc
+length from 0 on that segment: it cuts the segment into a few to a few
+dozen panels, each carrying the Chebyshev series of the integral of the
+speed, so evaluating H is one Clenshaw sum and inverting it a few Newton
+steps.  The adaptive quadrature computes one number, pi_p, independently of
+the chart: one integral whose panels start cut at break points, for p > 4
+the knee where the speed starts its rise to the fold, and dyadic points
+toward the fold.  The module-level caches of charts
 and of pi_p hold a fixed number of entries and drop the oldest on
 insert.  Rebuilding an entry is deterministic and inserts take a lock, so
 the caches are safe under concurrent use.
@@ -55,7 +55,7 @@ TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 QUARTER_PI = 0.25 * math.pi
 
-# Quadrature used for one-shot arc integrals (perimeter, explored measures).
+# Quadrature of pi_p, the independent check of the chart.
 _QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=60)
 
 
@@ -180,27 +180,22 @@ def _fold_levels(p: float) -> int:
     return min(4, max(0, int(math.log2(2560.0 / p))))
 
 
-def _quarter_arc_integral(p: float, upper: float) -> float:
-    """Arc length of the chart from 0 to ``upper`` <= fold limit, one shot.
+def _quarter_arc_integral(p: float) -> float:
+    """pi_p / 4, the arc length of the folded chart segment, for finite p > 1.
 
     One adaptive quadrature from break points: the knee for p > 4 and, for
-    the whole folded segment (pi_p / 4) with p >= 2, the dyadic points that
-    bisection would reach toward the fold.  Below p = 2 the panels grade
-    toward z = 0 instead, by a number of levels that varies with p.
+    p >= 2, the dyadic points that bisection would reach toward the fold.
+    Below p = 2 the panels grade toward z = 0 instead, by a number of
+    levels that varies with p.
     """
-    if upper <= 0.0:
-        return 0.0
-    if p == 1.0:
-        return 2.0 * upper
-    if math.isinf(p):
-        return upper
+    fold = _fold_limit(p)
     start = _knee(p) if p > 4.0 else 0.0
     points = [start]
-    if p >= 2.0 and upper == _fold_limit(p):
+    if p >= 2.0:
         for _ in range(_fold_levels(p)):
-            start = 0.5 * (start + upper)
+            start = 0.5 * (start + fold)
             points.append(start)
-    return integrate_adaptive(partial(_speed, p), 0.0, upper, _QUAD_TOL, points)
+    return integrate_adaptive(partial(_speed, p), 0.0, fold, _QUAD_TOL, points)
 
 
 # Per-p caches, bounded.  A chart holds a few KiB, up to about 30 KiB near
@@ -232,7 +227,7 @@ def half_perimeter(p: float) -> float:
         return 4.0
     cached = _PERIMETER_CACHE.get(p)
     if cached is None:
-        cached = 4.0 * _quarter_arc_integral(p, _fold_limit(p))
+        cached = 4.0 * _quarter_arc_integral(p)
         _remember(_PERIMETER_CACHE, _PERIMETER_CACHE_SIZE, p, cached)
     return cached
 
@@ -481,6 +476,8 @@ def _point_at_arc_from_zero(p: float, lam: float) -> CirclePoint:
 
 
 def _reduce_angle(phi: float) -> float:
+    if not math.isfinite(phi):
+        raise DomainError(f"angle must be finite, got {phi}")
     phi = math.fmod(phi, TWO_PI)
     if phi < 0.0:
         phi += TWO_PI

@@ -109,6 +109,8 @@ class TestCmdPi:
             cmd_pi(3.0, 1.0, 5)
         with pytest.raises(UsageError):
             cmd_pi(1.0, 2.0, 1)
+        with pytest.raises(UsageError):
+            cmd_pi(2.0, 2.0, 0)
 
 
 class TestCmdCost:
@@ -234,6 +236,14 @@ class TestMainEntry:
         target = tmp_path / "pi.csv"
         assert main(["pi", "1", "2", "--steps", "3", "--out", str(target)]) == 0
         assert CurveTable.from_csv(target.read_text()).column("p") == [1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("argv", [["verify", "2", "--grid", "64"], ["pi", "2", "3", "--steps", "2"]])
+    def test_unwritable_out_is_usage_error(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "missing" / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write")
+        assert captured.err.count("\n") == 1
 
     def test_params_inf(self, capsys):
         assert main(["params", "inf"]) == 0

@@ -9,11 +9,9 @@ from lpevac import (
     INF,
     AlgoParams,
     Branch,
-    CostPiece,
     DomainError,
     aux_root_equation,
     chord_length,
-    evac_cost_curve,
     evac_time,
     half_perimeter,
     optimality_report,
@@ -26,6 +24,7 @@ from lpevac import (
     worst_case_grid_oracle,
     worst_case_params,
 )
+from lpevac import lp_geometry
 from lpevac.cli import cmd_cost, cmd_params
 
 QUARTER = math.pi / 4
@@ -243,6 +242,21 @@ class TestWorstCaseParams:
             prev = cur
         assert changes == 1
 
+    @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0, 45.0])
+    def test_arc_lengths_come_from_the_chart(self, p, monkeypatch):
+        # pi_p is the only quadrature; H(s) of the closed forms is the chart's
+        half_perimeter(p)
+        calls = []
+        integrate = lp_geometry.integrate_adaptive
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(lp_geometry, "integrate_adaptive", counted)
+        worst_case_params(p)
+        assert calls == []
+
     def test_degenerate_limits(self):
         one = worst_case_params(1.0)
         assert (one.explored, one.separation) == (4.8, 1.6)
@@ -285,8 +299,9 @@ class TestWorstCaseCost:
     @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 10.0])
     def test_matches_grid_oracle(self, p):
         phi = 0.0 if p <= 2.0 else QUARTER
-        _, cost = worst_case_grid_oracle(AlgoParams(p, phi), 2048)
+        tau_star, cost = worst_case_grid_oracle(AlgoParams(p, phi), 2048)
         assert worst_case_cost(p) == pytest.approx(cost, abs=1e-6)
+        assert tau_star == pytest.approx(0.5 * worst_case_params(p).explored, abs=1e-6)
 
     @pytest.mark.parametrize("p", [1.3e16, 1e17])
     def test_beyond_fold_rounding_is_the_square(self, p):
@@ -302,61 +317,54 @@ class TestWorstCaseCost:
         assert cinf == pytest.approx(5.0, abs=1e-9)
 
 
+def _exit_at(p, s):
+    # the exit at chart coordinate s, the point (-s, (1 - |s|^p)^(1/p))
+    return unit_circle_point(p, math.atan2((1.0 - abs(s) ** p) ** (1.0 / p), -s))
+
+
 class TestCostCurves:
+    """The evacuation time of each canonical deployment over the search,
+    from the simulation, against the closed-form worst case."""
+
     def test_axis_endpoints(self):
-        p = 2.0
-        assert evac_cost_curve(p, 0.0, CostPiece.AXIS) == pytest.approx(
-            1.0 + math.pi / 2.0 + 2.0, abs=1e-10
-        )
-        assert evac_cost_curve(p, 1.0, CostPiece.AXIS) == pytest.approx(
-            1.0 + math.pi, abs=1e-10
-        )
+        # the exit at (0, 1) is found at tau = pi/2, the one at (-1, 0) at tau = pi
+        params = AlgoParams(2.0, 0.0)
+        assert evac_time(params, math.pi / 2.0) == pytest.approx(1.0 + math.pi / 2.0 + 2.0, abs=1e-10)
+        assert evac_time(params, math.pi) == pytest.approx(1.0 + math.pi, abs=1e-10)
 
     def test_axis_profile_peaks_at_critical_coord(self):
         p = 1.7
         cp = worst_case_params(p)
-        assert evac_cost_curve(p, cp.exit_coord, CostPiece.AXIS) == pytest.approx(
-            worst_case_cost(p), abs=1e-8
-        )
+        outcome = simulate_exit(AlgoParams(p, 0.0), _exit_at(p, cp.exit_coord))
+        assert outcome.total_cost == pytest.approx(worst_case_cost(p), abs=1e-8)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8, 2.0])
     def test_axis_derivative_vanishes_at_peak(self, p):
-        cp = worst_case_params(p)
+        params = AlgoParams(p, 0.0)
+        tau = simulate_exit(params, _exit_at(p, worst_case_params(p).exit_coord)).tau
         h = 1e-6
-        diff = (
-            evac_cost_curve(p, cp.exit_coord + h, CostPiece.AXIS)
-            - evac_cost_curve(p, cp.exit_coord - h, CostPiece.AXIS)
-        ) / (2.0 * h)
+        diff = (evac_time(params, tau + h) - evac_time(params, tau - h)) / (2.0 * h)
         assert abs(diff) <= 1e-4
 
     def test_diagonal_q2_matches_worst_case(self):
         p = 3.0
         cp = worst_case_params(p)
-        assert evac_cost_curve(p, cp.exit_coord, CostPiece.DIAG_Q2) == pytest.approx(
-            1.0 + 0.5 * cp.explored + cp.separation, abs=1e-10
-        )
+        outcome = simulate_exit(AlgoParams(p, QUARTER), _exit_at(p, cp.exit_coord))
+        assert outcome.total_cost == pytest.approx(1.0 + 0.5 * cp.explored + cp.separation, abs=1e-10)
 
     @pytest.mark.parametrize("p", [2.1, 2.5, 3.0, 5.0, 12.0, 20.0])
     def test_diagonal_q3_has_no_interior_critical_point(self, p):
-        fold = 2.0 ** (-1.0 / p)
-        lo, hi = -1.0 + 1e-9, -fold - 1e-9
+        # exits in the third quadrant are found from tau = 3 pi_p / 4, at
+        # (-1, 0), to tau = pi_p, opposite the deployment
+        params = AlgoParams(p, QUARTER)
+        hp = half_perimeter(p)
+        lo, hi = 0.75 * hp + 1e-9, hp - 1e-9
         h = 1e-7
         signs = set()
         for i in range(101):
-            s = lo + (hi - lo) * i / 100
-            a = max(s - h, lo)
-            b = min(s + h, hi)
-            d = (
-                evac_cost_curve(p, b, CostPiece.DIAG_Q3)
-                - evac_cost_curve(p, a, CostPiece.DIAG_Q3)
-            ) / (b - a)
+            tau = lo + (hi - lo) * i / 100
+            a = max(tau - h, lo)
+            b = min(tau + h, hi)
+            d = (evac_time(params, b) - evac_time(params, a)) / (b - a)
             signs.add(d > 0)
         assert len(signs) == 1
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            evac_cost_curve(2.0, 1.5, CostPiece.AXIS)
-        with pytest.raises(DomainError):
-            evac_cost_curve(2.0, 0.1, CostPiece.DIAG_Q2)
-        with pytest.raises(DomainError):
-            evac_cost_curve(2.0, 0.1, CostPiece.DIAG_Q3)

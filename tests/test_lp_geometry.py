@@ -25,7 +25,6 @@ from lpevac.lp_geometry import (
     _fold_limit,
     _knee,
     _point_at_arc_from_zero,
-    _quarter_arc_integral,
     _speed,
     _ypow,
 )
@@ -302,16 +301,11 @@ class TestHalfPerimeterBreakPoints:
         monkeypatch.setattr(lp_geometry, "integrate_adaptive", recorded)
         monkeypatch.setattr(lp_geometry, "_PERIMETER_CACHE", {})
         half_perimeter(p)
-        fold = _fold_limit(p)
-        for frac in (0.3, 0.9, 0.999999):
-            _quarter_arc_integral(p, frac * fold)
-        assert len(breaks) == 4
-        # Only pi_p is graded toward the fold; explored measures break at
-        # the knee alone (none where it rounds to the fold, p >= 8.5e8).
-        knee = [_knee(p)] if p > 4.0 and _knee(p) < fold else []
+        assert len(breaks) == 1
+        # The knee comes first (none where it rounds to the fold, p >= 8.5e8),
+        # then the dyadic points toward the fold.
+        knee = [_knee(p)] if p > 4.0 and _knee(p) < _fold_limit(p) else []
         assert breaks[0][: len(knee)] == knee
-        for below_fold, frac in zip(breaks[1:], (0.3, 0.9, 0.999999)):
-            assert below_fold == [x for x in knee if x < frac * fold]
 
 
 class TestArcLength:
@@ -341,6 +335,14 @@ def test_chart_beyond_fold_rounding_is_the_square(p):
     assert 4.0 * ch.eighth == pytest.approx(4.0, abs=1e-12)
     # the diagonal point is the corner of the square, not (0, 1)
     assert _point_at_arc_from_zero(p, ch.eighth).point == Point2(1.0, 1.0)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_is_a_domain_error(phi):
+    with pytest.raises(DomainError):
+        unit_circle_point(2.0, phi)
+    with pytest.raises(DomainError):
+        point_at_arc_length(2.0, phi, 1.0)
 
 
 class TestPointAtArcLength:

@@ -8,13 +8,15 @@ the axis deployment's exit coordinate down to p = 1 + 2^-52.
 """
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from lpevac import Branch, half_perimeter, min_chord, worst_case_cost, worst_case_params
 from lpevac import lp_geometry
-from lpevac.lp_geometry import _QUAD_TOL, _Chart, _chart, _quarter_arc_integral
+from lpevac.lp_geometry import _QUAD_TOL, _Chart, _chart, _knee, _speed
+from lpevac.numerics import integrate_adaptive
 
 REL_TOL = 1e-12
 FIXTURE = json.loads((Path(__file__).parent / "data" / "reference.json").read_text())
@@ -86,7 +88,7 @@ class TestChart:
         ch = _chart(p)
         for k in range(1, 65):
             x = ch.fold * k / 65
-            quad = _quarter_arc_integral(p, x)
+            quad = integrate_adaptive(partial(_speed, p), 0.0, x, _QUAD_TOL, [_knee(p)])
             assert abs(ch.arc(x) - quad) <= max(_QUAD_TOL.abs_tol, _QUAD_TOL.rel_tol * quad)
 
     def test_x_at_inverts_arc(self, p):
