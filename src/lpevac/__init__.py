@@ -4,63 +4,18 @@ Numerical library and CLI: geometry of the l_p unit circle (perimeter,
 arc length and its inversion, chords), the evacuation search and its
 worst-case cost, the minimum-chord function with monotonicity
 certification, and matching lower bounds.
+
+``import lpevac`` loads no submodule.  A public name is imported from its
+module the first time it is read (PEP 562 ``__getattr__``), so a command
+that runs a few modules does not compile and run the others.
 """
 
 __version__ = "0.1.0"
 
-from .chord_arc import (
-    ChordArcSample,
-    Direction,
-    MonotonicityReport,
-    min_chord,
-    min_chord_curve,
-    tangential_chord,
-    tangential_chord_profile,
-    verify_min_chord_monotone,
-    verify_tangential_chord_monotone,
-)
-from .evacuation import (
-    AlgoParams,
-    Branch,
-    CriticalParams,
-    EvacOutcome,
-    aux_root_equation,
-    evac_time,
-    robot_positions,
-    separation,
-    simulate_exit,
-    worst_case_cost,
-    worst_case_grid_oracle,
-    worst_case_params,
-)
-from .lower_bound import (
-    OptimalityReport,
-    generic_lower_bound,
-    optimality_report,
-    weak_lower_bound,
-)
-from .lp_geometry import (
-    INF,
-    CirclePoint,
-    DomainError,
-    Point2,
-    chord_length,
-    half_perimeter,
-    lp_norm,
-    point_at_arc_length,
-    unit_circle_point,
-    validate_p,
-)
-from .numerics import (
-    BracketedRoot,
-    BracketError,
-    IntegrationError,
-    Tolerance,
-    find_root_bracketed,
-    integrate_adaptive,
-    maximize_1d,
-)
-from .tables import CurveTable, quantize
+# The library modules, each after the package modules it imports (tables
+# imports none), so looking a name up imports the modules its own module
+# imports anyway, and tables.
+_MODULES = ("tables", "numerics", "lp_geometry", "evacuation", "chord_arc", "lower_bound")
 
 __all__ = [
     "__version__",
@@ -115,3 +70,19 @@ __all__ = [
     "CurveTable",
     "quantize",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from importlib import import_module
+
+        for home in _MODULES:
+            module = import_module(f"{__name__}.{home}")
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

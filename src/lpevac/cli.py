@@ -7,6 +7,9 @@ CI use (0 all pass, 1 a check failed, 2 usage error).
 
 Angles are radians; the literals "pi", "pi/4", "2pi/3", "5pi/4", ... parse
 exactly.  The max norm is spelled "inf".
+
+Every command runs in a fresh interpreter, so each command function imports
+the library modules it calls, and ``--version`` and ``--help`` import none.
 """
 from __future__ import annotations
 
@@ -14,33 +17,13 @@ import argparse
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .chord_arc import (
-    min_chord,
-    min_chord_curve,
-    tangential_chord_profile,
-    verify_min_chord_monotone,
-    verify_tangential_chord_monotone,
-)
-from .evacuation import (
-    AlgoParams,
-    EvacOutcome,
-    separation,
-    simulate_exit,
-    worst_case_cost,
-    worst_case_params,
-)
-from .lower_bound import optimality_report, weak_lower_bound
-from .lp_geometry import (
-    QUARTER_PI,
-    DomainError,
-    half_perimeter,
-    unit_circle_point,
-    validate_p,
-)
-from .tables import CurveTable
+
+if TYPE_CHECKING:
+    from .evacuation import EvacOutcome
+    from .tables import CurveTable
 
 __all__ = [
     "main",
@@ -56,7 +39,11 @@ __all__ = [
     "parse_p",
 ]
 
-_ANGLE_RE = re.compile(r"^(-?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?$")
+_ANGLE_RE = r"^(-?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?$"
+# Every row (or grid point) is built before any is written, so a command line
+# may ask for at most this many.
+MAX_STEPS = 100_000
+MAX_GRID = 65_536
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -68,7 +55,7 @@ class UsageError(argparse.ArgumentTypeError):
 
 def parse_angle(text: str) -> float:
     s = text.strip().lower().replace(" ", "")
-    m = _ANGLE_RE.match(s)
+    m = re.match(_ANGLE_RE, s)
     if m:
         sign = -1.0 if m.group(1) else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
@@ -106,6 +93,21 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+def _at_most(limit: int):
+    """The argparse type of a size option: an int no larger than ``limit``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise UsageError(f"invalid int value: {text!r}") from None
+        if n > limit:
+            raise UsageError(f"must be at most {limit}, got {text}")
+        return n
+
+    return parse
+
+
 def _p_grid(p_min: float, p_max: float, steps: int) -> list[float]:
     if math.isinf(p_min) or math.isinf(p_max):
         raise UsageError("range commands need finite p bounds")
@@ -129,6 +131,9 @@ def _meta(command: str, **kwargs) -> dict[str, str]:
 
 
 def cmd_pi(p_min: float, p_max: float, steps: int) -> CurveTable:
+    from .lp_geometry import half_perimeter
+    from .tables import CurveTable
+
     rows = [(p, half_perimeter(p)) for p in _p_grid(p_min, p_max, steps)]
     return CurveTable.build(
         ("p", "pi_p"), rows, _meta("pi", p_min=p_min, p_max=p_max, steps=steps)
@@ -136,6 +141,11 @@ def cmd_pi(p_min: float, p_max: float, steps: int) -> CurveTable:
 
 
 def cmd_cost(p_min: float, p_max: float, steps: int) -> CurveTable:
+    from .evacuation import worst_case_params
+    from .lower_bound import optimality_report
+    from .lp_geometry import half_perimeter
+    from .tables import CurveTable
+
     rows = []
     for p in _p_grid(p_min, p_max, steps):
         cp = worst_case_params(p)
@@ -169,6 +179,10 @@ def cmd_cost(p_min: float, p_max: float, steps: int) -> CurveTable:
 
 
 def cmd_profile(p: float, phi: float, steps: int) -> CurveTable:
+    from .evacuation import AlgoParams, separation
+    from .lp_geometry import QUARTER_PI, half_perimeter
+    from .tables import CurveTable
+
     if steps < 2:
         raise UsageError(f"need at least 2 steps, got {steps}")
     if not (abs(phi) <= 1e-12 or abs(phi - QUARTER_PI) <= 1e-12):
@@ -188,6 +202,10 @@ def cmd_profile(p: float, phi: float, steps: int) -> CurveTable:
 
 
 def cmd_sigma(p: float, steps: int, arc_len: Optional[float] = None) -> CurveTable:
+    from .chord_arc import tangential_chord_profile
+    from .evacuation import worst_case_params
+    from .tables import CurveTable
+
     if steps < 2:
         raise UsageError(f"need at least 2 steps, got {steps}")
     if arc_len is None:
@@ -201,6 +219,9 @@ def cmd_sigma(p: float, steps: int, arc_len: Optional[float] = None) -> CurveTab
 
 
 def cmd_lchord(p: float, steps: int) -> CurveTable:
+    from .chord_arc import min_chord_curve
+    from .tables import CurveTable
+
     if steps < 2:
         raise UsageError(f"need at least 2 steps, got {steps}")
     rows = min_chord_curve(p, steps)
@@ -215,6 +236,15 @@ def cmd_verify(
     chord_tol: float = 1e-5,
 ) -> tuple[int, dict]:
     """Run the certification suite for each p; exit status 0 iff all pass."""
+    from .chord_arc import (
+        min_chord,
+        verify_min_chord_monotone,
+        verify_tangential_chord_monotone,
+    )
+    from .evacuation import worst_case_params
+    from .lower_bound import optimality_report
+    from .lp_geometry import validate_p
+
     if not p_list:
         raise UsageError("verify needs at least one p value")
     results = []
@@ -296,6 +326,9 @@ def _outcome_dict(outcome: EvacOutcome) -> dict:
 
 
 def cmd_simulate(p: float, phi: float, exit_phi: float) -> dict:
+    from .evacuation import AlgoParams, simulate_exit
+    from .lp_geometry import unit_circle_point
+
     params = AlgoParams(p, phi)
     outcome = simulate_exit(params, unit_circle_point(p, exit_phi))
     doc = {"p": _jsonable(p), "phi": phi}
@@ -304,6 +337,9 @@ def cmd_simulate(p: float, phi: float, exit_phi: float) -> dict:
 
 
 def cmd_params(p: float) -> dict:
+    from .evacuation import worst_case_cost, worst_case_params
+    from .lower_bound import weak_lower_bound
+
     cp = worst_case_params(p)
     return {
         "p": _jsonable(cp.p),
@@ -356,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pi", help="half-perimeter curve over a p range")
     sp.add_argument("p_min", type=parse_p)
     sp.add_argument("p_max", type=parse_p)
-    sp.add_argument("--steps", type=int, default=512)
+    sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=512)
     add_output_flags(sp)
     sp.set_defaults(handler=lambda a: _emit_table(cmd_pi(a.p_min, a.p_max, a.steps), a))
 
     sp = sub.add_parser("cost", help="worst-case cost and bounds over a p range")
     sp.add_argument("p_min", type=parse_p)
     sp.add_argument("p_max", type=parse_p)
-    sp.add_argument("--steps", type=int, default=64)
+    sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=64)
     add_output_flags(sp)
     sp.set_defaults(
         handler=lambda a: _emit_table(cmd_cost(a.p_min, a.p_max, a.steps), a)
@@ -372,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("profile", help="evacuation time profile over search time")
     sp.add_argument("p", type=parse_p)
     sp.add_argument("--phi", type=parse_angle, default=0.0)
-    sp.add_argument("--steps", type=int, default=512)
+    sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=512)
     add_output_flags(sp)
     sp.set_defaults(
         handler=lambda a: _emit_table(cmd_profile(a.p, a.phi, a.steps), a)
@@ -380,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sigma", help="chord vs tangential angle at fixed arc length")
     sp.add_argument("p", type=parse_p)
-    sp.add_argument("--steps", type=int, default=512)
+    sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=512)
     sp.add_argument("--arc-len", type=float, default=None)
     add_output_flags(sp)
     sp.set_defaults(
@@ -389,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lchord", help="minimum chord vs arc length")
     sp.add_argument("p", type=parse_p)
-    sp.add_argument("--steps", type=int, default=128)
+    sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=128)
     add_output_flags(sp)
     sp.set_defaults(handler=lambda a: _emit_table(cmd_lchord(a.p, a.steps), a))
 
     sp = sub.add_parser("verify", help="run the numerical certification suite")
     sp.add_argument("p_list", type=parse_p, nargs="+")
-    sp.add_argument("--grid", type=int, default=512)
+    sp.add_argument("--grid", type=_at_most(MAX_GRID), default=512)
     sp.add_argument("--tol", type=_parse_tol, default=1e-9)
     sp.add_argument("--gap-tol", type=_parse_tol, default=1e-4)
     sp.add_argument("--chord-tol", type=_parse_tol, default=1e-5)
@@ -426,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    from .lp_geometry import DomainError
+
     try:
         code = args.handler(args)
     except (UsageError, DomainError) as exc:

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from lpevac.cli import (
+    MAX_GRID,
+    MAX_STEPS,
     UsageError,
+    _at_most,
     cmd_cost,
     cmd_lchord,
     cmd_pi,
@@ -32,6 +35,9 @@ def _exit_code(argv):
         return exc.code
 
 
+LIMITS = {"--steps": MAX_STEPS, "--grid": MAX_GRID}
+
+
 class TestParsing:
     @pytest.mark.parametrize(
         "text,expected",
@@ -51,6 +57,12 @@ class TestParsing:
 
     def test_p_inf(self):
         assert parse_p("inf") == math.inf
+
+    @pytest.mark.parametrize("limit", [MAX_STEPS, MAX_GRID])
+    def test_size_limit_is_inclusive(self, limit):
+        assert _at_most(limit)(str(limit)) == limit
+        with pytest.raises(UsageError, match=f"must be at most {limit}, got {limit + 1}"):
+            _at_most(limit)(str(limit + 1))
 
     def test_p_rejects_below_one(self):
         with pytest.raises(UsageError):
@@ -349,11 +361,31 @@ class TestMainEntry:
             (["simulate", "2", "0", "nan"], "angle must be finite"),
             (["simulate", "2", "0", "--", "-inf"], "angle must be finite"),
             (["verify", "2", "--tol", "nan"], "tolerance must be finite"),
+            (["pi", "2", "3", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
         ],
     )
     def test_bad_value_reports_its_message(self, argv, message, capsys):
         assert _exit_code(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pi", "2", "3", "--steps"],
+            ["cost", "2", "3", "--steps"],
+            ["profile", "2", "--steps"],
+            ["sigma", "2", "--steps"],
+            ["lchord", "2", "--steps"],
+            ["verify", "2", "--grid"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_size_above_limit_is_usage_error(self, argv, capsys):
+        assert _exit_code(argv + [str(10**20)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = [line for line in captured.err.splitlines() if "error:" in line]
+        assert line.endswith(f"argument {argv[-1]}: must be at most {LIMITS[argv[-1]]}, got {10**20}")
 
     def test_negative_angle_after_separator(self, capsys):
         assert main(["simulate", "2", "0", "--", "-pi/4"]) == 0
@@ -384,23 +416,70 @@ HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_cold_start_imports():
+# The package modules each command runs, besides lpevac and lpevac.cli, in
+# import-dependency order (tables depends on none of them).
+LIBRARY = ("numerics", "lp_geometry", "evacuation", "chord_arc", "lower_bound", "tables")
+COMMAND_MODULES = [
+    (["--version"], ()),
+    (["--help"], ()),
+    (["pi", "2", "3", "--steps", "3"], ("numerics", "lp_geometry", "tables")),
+    (["cost", "2", "3", "--steps", "2"], LIBRARY),
+    (["verify", "2", "--grid", "64"], LIBRARY[:5]),
+    (["simulate", "2", "0", "pi"], LIBRARY[:3]),
+    (["params", "2"], LIBRARY[:5]),
+    (["profile", "2", "--steps", "3"], LIBRARY[:3] + ("tables",)),
+    (["sigma", "2", "--steps", "3"], LIBRARY[:4] + ("tables",)),
+    (["lchord", "2", "--steps", "3"], LIBRARY[:4] + ("tables",)),
+]
+
+
+def _cold_start(argv):
+    """Import lpevac.cli, build the parser and run ``main(argv)`` in a fresh
+    interpreter.  Returns the lines the command wrote to stdout, and
+    (after_import, exit code, at_end), where after_import and at_end are
+    (the lpevac modules, the HEAVY_MODULES) loaded at those points."""
     # -S: no site module, so nothing the interpreter's site set-up preloads
     # hides or adds a module
     code = f"""
 import sys
 sys.path.insert(0, {str(SRC)!r})
-heavy = {HEAVY_MODULES!r}
+
+def loaded():
+    return (
+        sorted(m for m in sys.modules if m.partition(".")[0] == "lpevac"),
+        [m for m in {HEAVY_MODULES!r} if m in sys.modules],
+    )
+
 import lpevac.cli
 lpevac.cli.build_parser()
-after_import = [m for m in heavy if m in sys.modules]
-code = lpevac.cli.main(["pi", "2", "3", "--steps", "3"])
-print(repr((after_import, "json" in sys.modules, code)))
+after_import = loaded()
+try:
+    code = lpevac.cli.main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+print(repr((after_import, code, loaded())))
 """
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    *table, last = done.stdout.splitlines()
+    *out, last = done.stdout.splitlines()
+    return out, ast.literal_eval(last)
+
+
+def test_cold_start_imports():
+    table, (after_import, code, at_end) = _cold_start(["pi", "2", "3", "--steps", "3"])
+    assert after_import == (["lpevac", "lpevac.cli"], [])
     assert table[-4:-2] == ["p,pi_p", "2,3.14159265359"] and len(table[-2:]) == 2
-    assert ast.literal_eval(last) == ([], False, 0)
+    assert code == 0
+    modules = ["lpevac", "lpevac.cli", "lpevac.lp_geometry", "lpevac.numerics", "lpevac.tables"]
+    assert at_end == (modules, [])
+
+
+@pytest.mark.parametrize(
+    "argv,modules", [pytest.param(*case, id=case[0][0]) for case in COMMAND_MODULES]
+)
+def test_command_imports_only_its_modules(argv, modules):
+    _, (_, code, (loaded, _)) = _cold_start(argv)
+    assert code == 0
+    assert loaded == sorted(["lpevac", "lpevac.cli"] + [f"lpevac.{m}" for m in modules])
