@@ -149,9 +149,11 @@ def tangential_chord_profile(
     p: float, arc_len: float, grid_size: int
 ) -> list[ChordArcSample]:
     """Sample the tangential chord on a uniform angle grid over [0, pi/4]."""
+    if grid_size < 2:
+        raise DomainError(f"need at least 2 angles, got {grid_size}")
     return [
         ChordArcSample(theta, tangential_chord(p, theta, arc_len), arc_len)
-        for theta in _uniform(max(int(grid_size), 2), QUARTER_PI)
+        for theta in _uniform(grid_size, QUARTER_PI)
     ]
 
 

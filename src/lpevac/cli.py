@@ -243,53 +243,29 @@ def cmd_verify(
     )
     from .evacuation import worst_case_params
     from .lower_bound import optimality_report
-    from .lp_geometry import validate_p
 
     if not p_list:
         raise UsageError("verify needs at least one p value")
     results = []
     all_passed = True
     for p in p_list:
-        validate_p(p)
-        checks = []
+        # the first check validates p
         rep_l = verify_min_chord_monotone(p, grid, tol)
-        checks.append(
-            {
-                "name": "min_chord_monotone",
-                "passed": rep_l.passed,
-                "max_violation": _jsonable(rep_l.max_violation),
-                "tolerance": tol,
-            }
-        )
         rep_s = verify_tangential_chord_monotone(p, grid, tol)
-        checks.append(
-            {
-                "name": "tangential_chord_monotone",
-                "passed": rep_s.passed,
-                "max_violation": _jsonable(rep_s.max_violation),
-                "tolerance": tol,
-                "direction": rep_s.direction.value,
-            }
-        )
         cp = worst_case_params(p)
-        rep_o = optimality_report(p)
+        gap = abs(optimality_report(p).gap)
         chord_gap = abs(min_chord(p, cp.explored) - cp.separation)
-        checks.append(
-            {
-                "name": "min_chord_equals_critical_separation",
-                "passed": chord_gap <= chord_tol,
-                "max_violation": _jsonable(chord_gap),
-                "tolerance": chord_tol,
-            }
-        )
-        checks.append(
-            {
-                "name": "optimality_gap",
-                "passed": abs(rep_o.gap) <= gap_tol,
-                "max_violation": _jsonable(abs(rep_o.gap)),
-                "tolerance": gap_tol,
-            }
-        )
+        checks = [
+            _check("min_chord_monotone", rep_l.max_violation, tol),
+            _check(
+                "tangential_chord_monotone",
+                rep_s.max_violation,
+                tol,
+                direction=rep_s.direction.value,
+            ),
+            _check("min_chord_equals_critical_separation", chord_gap, chord_tol),
+            _check("optimality_gap", gap, gap_tol),
+        ]
         p_passed = all(c["passed"] for c in checks)
         all_passed = all_passed and p_passed
         results.append(
@@ -305,6 +281,17 @@ def cmd_verify(
         "passed": all_passed,
     }
     return (0 if all_passed else 1), report
+
+
+def _check(name: str, violation: float, tol: float, **extra) -> dict:
+    # passed as each MonotonicityReport computes it: a NaN violation fails
+    return {
+        "name": name,
+        "passed": violation <= tol,
+        "max_violation": _jsonable(violation),
+        "tolerance": tol,
+        **extra,
+    }
 
 
 def _jsonable(x):

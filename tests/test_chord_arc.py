@@ -137,6 +137,22 @@ class TestTangentialChordProfile:
             assert s.arc_len == 4.0 * math.pi / 3.0
             assert s.chord == pytest.approx(math.sqrt(3.0), abs=1e-6)
 
+    @pytest.mark.parametrize("grid_size", [1, 0, -3])
+    def test_grid_below_two_is_domain_error(self, grid_size):
+        # as min_chord_curve does; the grid is not silently raised to 2
+        from lpevac import tangential_chord_profile
+
+        with pytest.raises(DomainError, match=f"need at least 2 angles, got {grid_size}$"):
+            tangential_chord_profile(2.0, 4.0, grid_size)
+
+    def test_fractional_grid_is_type_error(self):
+        from lpevac import tangential_chord_profile
+
+        with pytest.raises(TypeError):
+            tangential_chord_profile(2.0, 4.0, 2.9)
+        with pytest.raises(TypeError):
+            min_chord_curve(2.0, 2.9)
+
 
 class TestMinChord:
     def test_euclidean_closed_form(self):

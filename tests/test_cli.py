@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import math
 import subprocess
@@ -33,6 +34,37 @@ def _exit_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def _read_table(text, fmt):
+    """Read a table command's output as its format promises.  CSV: '# key=value'
+    metadata lines first, then one header, then rows of the header's arity
+    whose cells are unchanged when reformatted with 12 significant digits.
+    JSON: RFC 8259 (no NaN or Infinity), metadata, columns and one list per
+    column, every value a float unchanged by that rounding."""
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=_reject_constant)
+        assert list(doc) == ["metadata", "columns", "data"]
+        assert list(doc["data"]) == doc["columns"]
+        series = list(doc["data"].values())
+        assert all(len(column) == len(series[0]) for column in series)
+        metadata, header, rows = doc["metadata"], doc["columns"], list(zip(*series))
+        assert all(type(v) is float and quantize(v) == v for row in rows for v in row)
+    else:
+        assert text.endswith("\n") and "\r" not in text
+        lines = text[:-1].split("\n")
+        n_meta = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+        metadata = dict(line[2:].split("=", 1) for line in lines[:n_meta])
+        header, *cells = csv.reader(lines[n_meta:], quoting=csv.QUOTE_NONE, strict=True)
+        assert all(f"{float(c):.12g}" == c for row in cells for c in row)
+        rows = [tuple(float(c) for c in row) for row in cells]
+        assert all(math.isfinite(v) for row in rows for v in row)
+    assert all(len(row) == len(header) for row in rows)
+    return CurveTable(tuple(header), rows, metadata)
 
 
 LIMITS = {"--steps": MAX_STEPS, "--grid": MAX_GRID}
@@ -82,13 +114,33 @@ class TestQuantize:
 class TestTables:
     def test_csv_round_trip(self):
         t = cmd_pi(1.0, 3.0, 5)
-        back = CurveTable.from_csv(t.to_csv())
-        assert back == t
+        assert _read_table(t.to_csv(), "csv") == t
 
     def test_json_round_trip(self):
         t = cmd_pi(1.0, 2.0, 3)
-        back = CurveTable.from_json(t.to_json())
-        assert back == t
+        assert _read_table(t.to_json(), "json") == t
+
+    @pytest.mark.parametrize(
+        "text,fmt",
+        [
+            ("# command=pi\n\np,pi_p\n1,4\n", "csv"),  # blank line
+            ("#command=pi\np,pi_p\n1,4\n", "csv"),  # no space after '#'
+            ("p,pi_p\n# command=pi\n1,4\n", "csv"),  # metadata after the header
+            ("p,pi_p\n1,4,5\n", "csv"),  # arity
+            ("p,pi_p\n1.0,4\n", "csv"),  # not the 12-digit form
+            ('p,pi_p\n"1",4\n', "csv"),  # quoted cell
+            ("p,pi_p\n1,nan\n", "csv"),
+            ("p,pi_p\n1,4", "csv"),  # no final newline
+            ('{"metadata": {}, "columns": ["p"], "data": {"p": [NaN]}}', "json"),
+            ('{"metadata": {}, "columns": ["p"], "data": {"p": [Infinity]}}', "json"),
+            ('{"metadata": {}, "columns": ["p"], "data": {"p": [1]}}', "json"),  # int
+            ('{"metadata": {}, "columns": ["p"], "data": {"p": [0.1234567890123]}}', "json"),
+            ('{"metadata": {}, "columns": ["p", "q"], "data": {"p": [1.0], "q": []}}', "json"),
+        ],
+    )
+    def test_reader_rejects_what_the_format_does_not_promise(self, text, fmt):
+        with pytest.raises((AssertionError, ValueError)):
+            _read_table(text, fmt)
 
     def test_regeneration_bit_identical(self):
         a = cmd_cost(1.2, 2.0, 4).to_csv()
@@ -98,6 +150,37 @@ class TestTables:
     def test_row_arity_checked(self):
         with pytest.raises(ValueError):
             CurveTable.build(("a", "b"), [(1.0,)], {})
+
+
+# Each table command at a given p: its argv (q = 2p) and the table it must write
+TABLE_COMMANDS = {
+    "pi": ("pi {p} {q} --steps 3", lambda p: cmd_pi(p, 2 * p, 3)),
+    "cost": ("cost {p} {q} --steps 2", lambda p: cmd_cost(p, 2 * p, 2)),
+    "profile-0": ("profile {p} --phi 0 --steps 9", lambda p: cmd_profile(p, 0.0, 9)),
+    "profile-pi/4": (
+        "profile {p} --phi pi/4 --steps 9",
+        lambda p: cmd_profile(p, math.pi / 4, 9),
+    ),
+    "sigma": ("sigma {p} --steps 9", lambda p: cmd_sigma(p, 9)),
+    "lchord": ("lchord {p} --steps 9", lambda p: cmd_lchord(p, 9)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 1e17])
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_table_output_reads_strictly(command, p, fmt, capsys):
+    template, build = TABLE_COMMANDS[command]
+    argv = template.format(p=p, q=2 * p).split() + ["--format", fmt]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    table = build(p)
+    read = _read_table(outputs[0], fmt)
+    assert read.metadata["command"] == argv[0]
+    assert read == table  # header, metadata and every row
 
 
 class TestCmdPi:
@@ -235,7 +318,7 @@ class TestMainEntry:
     def test_pi_csv_stdout(self, capsys):
         assert main(["pi", "1", "2", "--steps", "3"]) == 0
         out = capsys.readouterr().out
-        table = CurveTable.from_csv(out)
+        table = _read_table(out, "csv")
         assert table.column("p") == [1.0, 1.5, 2.0]
         assert table.metadata["command"] == "pi"
 
@@ -247,7 +330,7 @@ class TestMainEntry:
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "pi.csv"
         assert main(["pi", "1", "2", "--steps", "3", "--out", str(target)]) == 0
-        assert CurveTable.from_csv(target.read_text()).column("p") == [1.0, 1.5, 2.0]
+        assert _read_table(target.read_text(), "csv").column("p") == [1.0, 1.5, 2.0]
 
     @pytest.mark.parametrize("argv", [["verify", "2", "--grid", "64"], ["pi", "2", "3", "--steps", "2"]])
     def test_unwritable_out_is_usage_error(self, argv, tmp_path, capsys):
@@ -274,11 +357,8 @@ class TestMainEntry:
         assert main(["verify", "1.5", "--grid", "96", "--gap-tol", "1e-18"]) == 1
 
     def test_verify_inf_is_strict_json(self, capsys):
-        def reject(name):
-            raise ValueError(f"non-JSON constant {name}")
-
         assert main(["verify", "inf", "--grid", "64"]) == 0
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert doc["results"][0]["p"] == "inf"
         assert doc["passed"] is True
 
@@ -291,7 +371,7 @@ class TestMainEntry:
     )
     def test_p_beyond_fold_rounding_writes_finite_csv(self, command, p, capsys):
         assert main(command.format(p=p).split()) == 0
-        table = CurveTable.from_csv(capsys.readouterr().out)
+        table = _read_table(capsys.readouterr().out, "csv")
         assert table.rows and all(math.isfinite(v) for row in table.rows for v in row)
 
     @pytest.mark.parametrize("p", ["1.3e16", "1e17"])
@@ -301,11 +381,8 @@ class TestMainEntry:
         ids=lambda command: command.split()[0],
     )
     def test_p_beyond_fold_rounding_writes_strict_json(self, command, p, capsys):
-        def reject(name):
-            raise ValueError(f"non-JSON constant {name}")
-
         assert main(command.format(p=p).split()) == 0
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         if command.startswith("verify"):
             checks = doc["results"][0]["checks"]
             assert len(checks) == 4 and all(c["passed"] for c in checks)
@@ -325,9 +402,6 @@ class TestMainEntry:
     ):
         import lpevac.chord_arc as chord_arc
 
-        def reject(name):
-            raise ValueError(f"non-JSON constant {name}")
-
         original = getattr(chord_arc, target)
 
         def poisoned(*args):
@@ -340,7 +414,7 @@ class TestMainEntry:
 
         monkeypatch.setattr(chord_arc, target, poisoned)
         assert main(["verify", p, "--grid", "64"]) == 1
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         failed = doc["results"][0]["checks"][check]
         assert failed["max_violation"] == "nan" and failed["passed"] is False
         assert doc["passed"] is False
