@@ -116,7 +116,7 @@ def _quarter_turn_lattice(p: float, n: int) -> tuple[list[float], list[float]]:
     # [0, 2E) is placed; the rest follows by quarter turns (x, y) -> (-y, x),
     # which map C_p onto itself and advance arc length by 2E.
     h = _chart(p).eighth / n
-    pts = [_point_at_arc_from_zero(p, i * h).point for i in range(2 * n)]
+    pts = [_point_at_arc_from_zero(p, i * h) for i in range(2 * n)]
     x = [pt.x for pt in pts]
     y = [pt.y for pt in pts]
     # quadrant -1, quadrant 0 and the first half of quadrant 1: (y, -x),

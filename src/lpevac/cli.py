@@ -249,10 +249,9 @@ def cmd_verify(
     results = []
     all_passed = True
     for p in p_list:
-        # the first check validates p
+        cp = worst_case_params(p)  # validates p
         rep_l = verify_min_chord_monotone(p, grid, tol)
-        rep_s = verify_tangential_chord_monotone(p, grid, tol)
-        cp = worst_case_params(p)
+        rep_s = verify_tangential_chord_monotone(p, grid, tol, cp.explored)
         gap = abs(optimality_report(p).gap)
         chord_gap = abs(min_chord(p, cp.explored) - cp.separation)
         checks = [

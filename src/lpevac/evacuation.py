@@ -29,7 +29,6 @@ from .lp_geometry import (
     _arc_from_zero,
     _chart,
     _point_at_arc_from_zero,
-    _reduce_angle,
     _ypow,
     chord_length,
     half_perimeter,
@@ -135,10 +134,10 @@ def robot_positions(params: AlgoParams, tau: float) -> tuple[Point2, Point2]:
     half = 0.5 * _total(params.p)
     if not -1e-9 <= tau <= half + 1e-9:
         raise DomainError(f"search time {tau} outside [0, {half}]")
-    lam0 = _arc_from_zero(params.p, _reduce_angle(params.phi))
+    lam0 = _arc_from_zero(params.p, params.phi)
     ccw = _point_at_arc_from_zero(params.p, lam0 + tau)
     cw = _point_at_arc_from_zero(params.p, lam0 - tau)
-    return ccw.point, cw.point
+    return ccw, cw
 
 
 def separation(params: AlgoParams, tau: float) -> float:
@@ -161,8 +160,8 @@ def simulate_exit(params: AlgoParams, exit: CirclePoint) -> EvacOutcome:
     if abs(lp_norm(params.p, exit.point) - 1.0) > 1e-6:
         raise DomainError(f"exit {exit.point} does not lie on the unit circle")
     total = _total(params.p)
-    lam0 = _arc_from_zero(params.p, _reduce_angle(params.phi))
-    lam_exit = _arc_from_zero(params.p, _reduce_angle(exit.phi))
+    lam0 = _arc_from_zero(params.p, params.phi)
+    lam_exit = _arc_from_zero(params.p, exit.phi)
     ccw = math.fmod(lam_exit - lam0, total)
     if ccw < 0.0:
         ccw += total

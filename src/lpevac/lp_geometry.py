@@ -20,10 +20,11 @@ speed, so evaluating H is one Clenshaw sum and inverting it a few Newton
 steps.  The adaptive quadrature computes one number, pi_p, independently of
 the chart: one integral whose panels start cut at break points, for p > 4
 the knee where the speed starts its rise to the fold, and dyadic points
-toward the fold.  The module-level caches of charts
-and of pi_p hold a fixed number of entries and drop the oldest on
-insert.  Rebuilding an entry is deterministic and inserts take a lock, so
-the caches are safe under concurrent use.
+toward the fold.  The module-level caches of charts and of pi_p each hold
+the one p in use: every command finishes one p before it starts the next,
+so a second entry would not be read again.  Rebuilding an entry is
+deterministic and inserts take a lock, so the caches are safe under
+concurrent use.
 """
 from __future__ import annotations
 
@@ -198,22 +199,15 @@ def _quarter_arc_integral(p: float) -> float:
     return integrate_adaptive(partial(_speed, p), 0.0, fold, _QUAD_TOL, points)
 
 
-# Per-p caches, bounded.  A chart holds a few KiB, up to about 30 KiB near
-# p = 1 where it has a few dozen panels; 16 of them cover a sweep that
-# cycles through a handful of p without rebuilding.
-_CHART_CACHE_SIZE = 16
-_PERIMETER_CACHE_SIZE = 1024
+# Per-p caches of one entry each, the p in use.
 _CACHE_LOCK = threading.Lock()
 
 
-def _remember(cache: dict, size: int, p: float, value) -> None:
-    # Insert, dropping the oldest entry (dicts keep insertion order) when
-    # the cache is full.  The lock keeps concurrent inserts from evicting
-    # twice or iterating a dict that another thread is changing; a lookup
-    # needs no lock.
+def _remember(cache: dict, p: float, value) -> None:
+    # Replace the entry.  The lock keeps two concurrent inserts from leaving
+    # two entries; a lookup needs no lock.
     with _CACHE_LOCK:
-        if p not in cache and len(cache) >= size:
-            del cache[next(iter(cache))]
+        cache.clear()
         cache[p] = value
 
 
@@ -228,7 +222,7 @@ def half_perimeter(p: float) -> float:
     cached = _PERIMETER_CACHE.get(p)
     if cached is None:
         cached = 4.0 * _quarter_arc_integral(p)
-        _remember(_PERIMETER_CACHE, _PERIMETER_CACHE_SIZE, p, cached)
+        _remember(_PERIMETER_CACHE, p, cached)
     return cached
 
 
@@ -419,16 +413,15 @@ def _chart(p: float) -> _Chart:
     ch = _CHART_CACHE.get(p)
     if ch is None:
         ch = _Chart(p)
-        _remember(_CHART_CACHE, _CHART_CACHE_SIZE, p, ch)
+        _remember(_CHART_CACHE, p, ch)
     return ch
 
 
 def _arc_from_zero(p: float, phi: float) -> float:
-    """Arc length along C_p from angle 0 to angle phi in [0, 2*pi)."""
+    """Arc length along C_p from angle 0 to angle phi (reduced mod 2*pi)."""
+    phi = _reduce_angle(phi)
     ch = _chart(p)
-    k = int(phi / HALF_PI)
-    if k > 3:
-        k = 3
+    k = min(int(phi / HALF_PI), 3)
     t = phi - k * HALF_PI
     # The point of C_p at angle t is (c, s) / n; the smaller of its
     # coordinates lies in [0, fold limit].
@@ -441,38 +434,27 @@ def _arc_from_zero(p: float, phi: float) -> float:
     return k * 2.0 * ch.eighth + lam_q
 
 
-def _point_at_arc_from_zero(p: float, lam: float) -> CirclePoint:
-    """Point of C_p at arc length ``lam`` (counter-clockwise from (1, 0))."""
+def _point_at_arc_from_zero(p: float, lam: float) -> Point2:
+    """Point of C_p at arc length ``lam`` (counter-clockwise from (1, 0)).
+
+    A point of the first quadrant turned k times by (x, y) -> (-y, x)."""
     ch = _chart(p)
     total = 8.0 * ch.eighth
     lam = math.fmod(lam, total)
     if lam < 0.0:
         lam += total
     quadrant = 2.0 * ch.eighth
-    k = int(lam / quadrant)
-    if k > 3:
-        k = 3
+    k = min(int(lam / quadrant), 3)
     rem = lam - k * quadrant
     if rem <= ch.eighth:
-        x = ch.x_at(rem)
-        bx, by = _ypow(ch.p, x), x
+        y = ch.x_at(rem)
+        x = _ypow(ch.p, y)
     else:
         x = ch.x_at(quadrant - rem)
-        bx, by = x, _ypow(ch.p, x)
-    if k == 0:
-        px, py = bx, by
-    elif k == 1:
-        px, py = -by, bx
-    elif k == 2:
-        px, py = -bx, -by
-    else:
-        px, py = by, -bx
-    phi = math.atan2(py, px)
-    if phi < 0.0:
-        phi += TWO_PI
-    if phi >= TWO_PI:
-        phi = 0.0
-    return CirclePoint(phi, Point2(px, py))
+        y = _ypow(ch.p, x)
+    for _ in range(k):
+        x, y = -y, x
+    return Point2(x, y)
 
 
 def _reduce_angle(phi: float) -> float:
@@ -497,8 +479,8 @@ def point_at_arc_length(p: float, start_phi: float, length: float) -> CirclePoin
     total = 8.0 * ch.eighth
     if not -1e-9 <= length <= total + 1e-9:
         raise DomainError(f"arc length {length} outside [0, {total}]")
-    lam = _arc_from_zero(p, _reduce_angle(start_phi)) + length
-    return _point_at_arc_from_zero(p, lam)
+    x, y = pt = _point_at_arc_from_zero(p, _arc_from_zero(p, start_phi) + length)
+    return CirclePoint(_reduce_angle(math.atan2(y, x)), pt)
 
 
 def chord_length(p: float, a: Point2, b: Point2) -> float:

@@ -283,17 +283,18 @@ def maximize_1d(
     """
     if not lo <= hi:
         raise ValueError(f"bounds out of order: [{lo}, {hi}]")
+    if n_grid < 2:
+        raise ValueError(f"need at least 2 grid cells, got {n_grid}")
     if lo == hi:
         return lo, f(lo)
-    n = max(int(n_grid), 2)
-    step = (hi - lo) / n
-    xs = [lo + i * step for i in range(n)] + [hi]
+    step = (hi - lo) / n_grid
+    xs = [lo + i * step for i in range(n_grid)] + [hi]
     vals = [f(x) for x in xs]
-    ibest = max(range(n + 1), key=vals.__getitem__)
+    ibest = max(range(n_grid + 1), key=vals.__getitem__)
     gx, gv = xs[ibest], vals[ibest]
 
     a = xs[ibest - 1] if ibest > 0 else lo
-    b = xs[ibest + 1] if ibest < n else hi
+    b = xs[ibest + 1] if ibest < n_grid else hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)

@@ -77,8 +77,8 @@ def _scanned_min_chord(p, u):
     best = math.inf
     for i in range(513):
         m = eighth * i / 512
-        a = _point_at_arc_from_zero(p, m + half).point
-        b = _point_at_arc_from_zero(p, m - half).point
+        a = _point_at_arc_from_zero(p, m + half)
+        b = _point_at_arc_from_zero(p, m - half)
         best = min(best, lp_norm(p, (a.x - b.x, a.y - b.y)))
     return best
 
@@ -422,7 +422,7 @@ def _full_turn_lattice(p, n):
     # The lattice at arc indices [-2n, 7n] (index i + 2n), each quadrant a
     # quarter turn of the placed quadrant [0, 2E).
     h = _chart(p).eighth / n
-    pts = [_point_at_arc_from_zero(p, i * h).point for i in range(2 * n)]
+    pts = [_point_at_arc_from_zero(p, i * h) for i in range(2 * n)]
     x = [pt.x for pt in pts]
     y = [pt.y for pt in pts]
     neg_x = [-v for v in x]

@@ -334,7 +334,7 @@ def test_chart_beyond_fold_rounding_is_the_square(p):
     ch = _chart(p)
     assert 4.0 * ch.eighth == pytest.approx(4.0, abs=1e-12)
     # the diagonal point is the corner of the square, not (0, 1)
-    assert _point_at_arc_from_zero(p, ch.eighth).point == Point2(1.0, 1.0)
+    assert _point_at_arc_from_zero(p, ch.eighth) == Point2(1.0, 1.0)
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
@@ -364,6 +364,26 @@ class TestPointAtArcLength:
     def test_rejects_overlong(self):
         with pytest.raises(DomainError):
             point_at_arc_length(2.0, 0.0, 9.0)
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, INF])
+    def test_angle_a_few_ulps_below_a_full_lap(self, p, ulps):
+        length = 8.0 * _chart(p).eighth
+        for _ in range(ulps):
+            length = math.nextafter(length, 0.0)
+        cp = point_at_arc_length(p, 0.0, length)
+        assert 0.0 <= cp.phi < TWO_PI
+        assert lp_norm(p, cp.point) == pytest.approx(1.0, abs=1e-15)
+
+    def test_angle_that_rounds_to_a_full_turn_is_zero(self):
+        # one ulp below the full lap at p = 4 the point lies below the x axis
+        # by less than half an ulp of 2*pi, so 2*pi plus its angle rounds to
+        # 2*pi; the reduced angle is 0
+        length = math.nextafter(8.0 * _chart(4.0).eighth, 0.0)
+        cp = point_at_arc_length(4.0, 0.0, length)
+        x, y = cp.point
+        assert y < 0.0 and math.atan2(y, x) + TWO_PI == TWO_PI
+        assert cp.phi == 0.0
 
     @given(
         p=st.sampled_from(P_PALETTE),
@@ -438,41 +458,37 @@ def test_concurrent_use_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "cache,size,fill",
-    [
-        ("_CHART_CACHE", "_CHART_CACHE_SIZE", "_chart"),
-        ("_PERIMETER_CACHE", "_PERIMETER_CACHE_SIZE", "half_perimeter"),
-    ],
+    "cache,fill", [("_CHART_CACHE", "_chart"), ("_PERIMETER_CACHE", "half_perimeter")]
 )
-def test_caches_stay_bounded(cache, size, fill):
+def test_caches_stay_bounded(cache, fill):
+    # each cache holds the one p in use
     import lpevac.lp_geometry as geo
 
-    cache, size, fill = getattr(geo, cache), getattr(geo, size), getattr(geo, fill)
-    ps = [1.6180339 + 1e-3 * i for i in range(size + 3)]
+    cache, fill = getattr(geo, cache), getattr(geo, fill)
+    ps = [1.6180339 + 1e-3 * i for i in range(5)]
     for p in ps:
         fill(p)
-    assert len(cache) == size
-    assert ps[0] not in cache
+    assert list(cache) == [ps[-1]]
     newest = cache[ps[-1]]
     fill(ps[-1])
-    assert len(cache) == size and cache[ps[-1]] is newest
+    assert list(cache) == [ps[-1]] and cache[ps[-1]] is newest
 
 
 def test_cache_inserts_from_threads_keep_the_bound():
-    # eviction is check-then-act on a shared dict; with the lock, eight
-    # threads switching every microsecond neither raise nor leave the
-    # cache below or above its bound
+    # an insert clears the cache and then inserts; with the lock, eight
+    # threads switching every microsecond neither raise nor leave more or
+    # fewer than one entry
     import sys
     import threading
 
     import lpevac.lp_geometry as geo
 
-    cache, size, errors = {}, 64, []
+    cache, errors = {}, []
 
     def work(t):
         try:
             for i in range(2000):
-                geo._remember(cache, size, t + i / 1e4, i)
+                geo._remember(cache, t + i / 1e4, i)
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -487,4 +503,4 @@ def test_cache_inserts_from_threads_keep_the_bound():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert errors == [] and len(cache) == size
+    assert errors == [] and len(cache) == 1

@@ -264,6 +264,15 @@ class TestMaximize1d:
     def test_degenerate_interval(self):
         assert maximize_1d(math.cos, 0.7, 0.7, TOL) == (0.7, math.cos(0.7))
 
+    @pytest.mark.parametrize("n_grid", [1, 0, -7])
+    def test_grid_below_two_cells_is_value_error(self, n_grid):
+        with pytest.raises(ValueError, match="at least 2 grid cells, got"):
+            maximize_1d(math.sin, 0.0, math.pi, TOL, n_grid=n_grid)
+
+    def test_fractional_grid_is_type_error(self):
+        with pytest.raises(TypeError):
+            maximize_1d(math.sin, 0.0, math.pi, TOL, n_grid=2.9)
+
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_dominates_random_probes(self, seed):
         import random
