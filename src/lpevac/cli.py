@@ -44,6 +44,10 @@ _ANGLE_RE = r"^(-?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?$"
 # may ask for at most this many.
 MAX_STEPS = 100_000
 MAX_GRID = 65_536
+# verify's fixed pass thresholds, those of acceptance criteria 9-11
+TOL = 1e-9  # the two monotonicity checks
+GAP_TOL = 1e-4  # optimality_gap
+CHORD_TOL = 1e-5  # min_chord_equals_critical_separation
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -60,11 +64,12 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
-    try:
-        phi = float(s)
-    except ValueError:
-        raise UsageError(f"cannot parse angle {text!r}") from None
+        phi = sign * num * math.pi / den if den else math.inf
+    else:
+        try:
+            phi = float(s)
+        except ValueError:
+            raise UsageError(f"cannot parse angle {text!r}") from None
     if not math.isfinite(phi):
         raise UsageError(f"angle must be finite, got {text!r}")
     return phi
@@ -81,16 +86,6 @@ def parse_p(text: str) -> float:
     if math.isnan(p) or p < 1.0:
         raise UsageError(f"norm parameter must be >= 1 or inf, got {text!r}")
     return p
-
-
-def _parse_tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        raise UsageError(f"cannot parse tolerance {text!r}") from None
-    if not 0.0 <= tol < math.inf:  # also rejects nan
-        raise UsageError(f"tolerance must be finite and >= 0, got {text!r}")
-    return tol
 
 
 def _at_most(limit: int):
@@ -228,13 +223,7 @@ def cmd_lchord(p: float, steps: int) -> CurveTable:
     return CurveTable.build(("u", "L"), rows, _meta("lchord", p=p, steps=steps))
 
 
-def cmd_verify(
-    p_list: Sequence[float],
-    grid: int = 512,
-    tol: float = 1e-9,
-    gap_tol: float = 1e-4,
-    chord_tol: float = 1e-5,
-) -> tuple[int, dict]:
+def cmd_verify(p_list: Sequence[float], grid: int = 512) -> tuple[int, dict]:
     """Run the certification suite for each p; exit status 0 iff all pass."""
     from .chord_arc import (
         min_chord,
@@ -250,20 +239,20 @@ def cmd_verify(
     all_passed = True
     for p in p_list:
         cp = worst_case_params(p)  # validates p
-        rep_l = verify_min_chord_monotone(p, grid, tol)
-        rep_s = verify_tangential_chord_monotone(p, grid, tol, cp.explored)
+        rep_l = verify_min_chord_monotone(p, grid, TOL)
+        rep_s = verify_tangential_chord_monotone(p, grid, TOL, cp.explored)
         gap = abs(optimality_report(p).gap)
         chord_gap = abs(min_chord(p, cp.explored) - cp.separation)
         checks = [
-            _check("min_chord_monotone", rep_l.max_violation, tol),
+            _check("min_chord_monotone", rep_l.max_violation, TOL),
             _check(
                 "tangential_chord_monotone",
                 rep_s.max_violation,
-                tol,
+                TOL,
                 direction=rep_s.direction.value,
             ),
-            _check("min_chord_equals_critical_separation", chord_gap, chord_tol),
-            _check("optimality_gap", gap, gap_tol),
+            _check("min_chord_equals_critical_separation", chord_gap, CHORD_TOL),
+            _check("optimality_gap", gap, GAP_TOL),
         ]
         p_passed = all(c["passed"] for c in checks)
         all_passed = all_passed and p_passed
@@ -275,7 +264,7 @@ def cmd_verify(
             }
         )
     report = {
-        "metadata": _meta("verify", grid=grid, tol=tol, gap_tol=gap_tol, chord_tol=chord_tol),
+        "metadata": _meta("verify", grid=grid, tol=TOL, gap_tol=GAP_TOL, chord_tol=CHORD_TOL),
         "results": results,
         "passed": all_passed,
     }
@@ -418,13 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the numerical certification suite")
     sp.add_argument("p_list", type=parse_p, nargs="+")
     sp.add_argument("--grid", type=_at_most(MAX_GRID), default=512)
-    sp.add_argument("--tol", type=_parse_tol, default=1e-9)
-    sp.add_argument("--gap-tol", type=_parse_tol, default=1e-4)
-    sp.add_argument("--chord-tol", type=_parse_tol, default=1e-5)
     sp.add_argument("--out", default=None)
 
     def run_verify(a):
-        code, report = cmd_verify(a.p_list, a.grid, a.tol, a.gap_tol, a.chord_tol)
+        code, report = cmd_verify(a.p_list, a.grid)
         _write_json(report, a.out)
         return code
 

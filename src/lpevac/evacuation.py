@@ -53,9 +53,10 @@ __all__ = [
 ]
 
 # The aux root is about ln 2 / p, so an absolute stop loses it at large p.
-# With a negligible abs_tol, Brent stops on its relative bracket test, a
-# half-width of 2 eps |w|, or on an exact zero.
-_ROOT_TOL = Tolerance(abs_tol=1e-300, rel_tol=0.0, max_iter=200)
+# With abs_tol the least subnormal, Brent stops on its relative bracket test,
+# a half-width of 2 eps |w|, or on an exact zero.  The budget covers pure
+# bisection from 1/2 down to ln 2 / DBL_MAX ~ 3.9e-309, about 1,020 halvings.
+_ROOT_TOL = Tolerance(abs_tol=5e-324, rel_tol=0.0, max_iter=1100)
 
 
 class Branch(Enum):

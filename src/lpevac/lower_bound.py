@@ -1,13 +1,13 @@
 """Lower bounds on the evacuation cost and the optimality-gap report.
 
 Two bounds: every algorithm pays at least 1 + pi_p (the perimeter must be
-covered), and at least 1 + e/2 + min_chord(e) where e is the worst-case
-explored measure (two unexplored points at arc distance ~ 2*pi_p - e always
-remain, and the minimum chord is monotone).  The gap between the upper
-bound and the stronger lower bound is numerically ~0, which is what makes
-the search optimal.  The generic bound needs finite p > 1, so the report
-sets ``generic_is_weak`` only at p in {1, inf}, where the weak bound 5 is
-already tight.
+covered), and at least 1 + e/2 + min_chord(e) where e is the upper bound's
+own worst-case explored measure e_p (two unexplored points at arc distance
+~ 2*pi_p - e always remain, and the minimum chord is monotone).  The gap
+between the upper bound and the stronger lower bound is numerically ~0,
+which is what makes the search optimal.  The generic bound needs finite
+p > 1, so the report sets ``generic_is_weak`` only at p in {1, inf}, where
+the weak bound 5 is already tight.
 """
 from __future__ import annotations
 

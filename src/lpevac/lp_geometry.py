@@ -155,10 +155,7 @@ def _speed(p: float, z: float) -> float:
 def _fold_limit(p: float) -> float:
     # Chart coordinate of the diagonal point rho_p(pi/4); integrals are
     # confined to [0, fold_limit] where the speed stays in [1, 2^(1/p)].
-    if p == 1.0:
-        return 0.5
-    if math.isinf(p):
-        return 1.0
+    # Exact at both ends: 0.5 at p = 1 and 1.0 at p = inf.
     return 2.0 ** (-1.0 / p)
 
 

@@ -46,6 +46,9 @@ class Tolerance(_ToleranceFields):
     abs_tol   absolute tolerance, must be > 0
     rel_tol   relative tolerance, must be >= 0
     max_iter  iteration / subdivision-depth budget, must be >= 1
+
+    integrate_adaptive reads all three; find_root_bracketed and maximize_1d
+    read abs_tol and max_iter, their exact step budget, and ignore rel_tol.
     """
 
     __slots__ = ()
@@ -204,8 +207,8 @@ def find_root_bracketed(
     """Find a root of f in [lo, hi] given f(lo) * f(hi) <= 0.
 
     Brent's method (inverse quadratic / secant steps guarded by bisection).
-    Terminates when |f(x)| <= abs_tol or the bracket width drops below
-    abs_tol; bisection fallback makes convergence unconditional.
+    Terminates when |f(x)| <= abs_tol, when the bracket width drops below
+    abs_tol, or after ``tol.max_iter`` steps of one evaluation of f each.
     """
     if not lo <= hi:
         raise ValueError(f"bracket out of order: [{lo}, {hi}]")
@@ -221,7 +224,7 @@ def find_root_bracketed(
     a, b, c = lo, hi, lo
     fc = fa
     d = e = b - a
-    for _ in range(max(tol.max_iter, 100) * 4):
+    for _ in range(tol.max_iter):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -279,7 +282,8 @@ def maximize_1d(
     """Maximize f on [lo, hi]: dense grid scan plus golden-section refinement.
 
     Returns (x*, f(x*)) with f(x*) >= the maximum over the initial grid; the
-    global maximum is guaranteed only up to the grid resolution.
+    global maximum is guaranteed only up to the grid resolution.  Golden
+    section stops at width abs_tol or after ``tol.max_iter`` more evaluations.
     """
     if not lo <= hi:
         raise ValueError(f"bounds out of order: [{lo}, {hi}]")
@@ -298,8 +302,9 @@ def maximize_1d(
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    iters = 0
-    while (b - a) > tol.abs_tol and iters < 200:
+    for _ in range(tol.max_iter):
+        if b - a <= tol.abs_tol:
+            break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_PHI * (b - a)
@@ -308,7 +313,6 @@ def maximize_1d(
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_PHI * (b - a)
             f1 = f(x1)
-        iters += 1
     best_x, best_v = gx, gv
     for x, v in ((x1, f1), (x2, f2)):
         if v > best_v:

@@ -268,6 +268,8 @@ class TestCmdVerify:
     def test_passes_for_good_p(self):
         code, report = cmd_verify([1.5, 3.0], grid=96)
         assert code == 0 and report["passed"]
+        meta = report["metadata"]
+        assert (meta["tol"], meta["gap_tol"], meta["chord_tol"]) == ("1e-09", "0.0001", "1e-05")
 
     def test_euclidean_near_constant_profile(self):
         code, report = cmd_verify([2.0], grid=96)
@@ -285,9 +287,20 @@ class TestCmdVerify:
         check = checks["tangential_chord_monotone"]
         assert check["tolerance"] == 1e-9 and check["passed"]
 
-    def test_impossible_tolerance_fails(self):
-        code, report = cmd_verify([1.5], grid=96, gap_tol=1e-18)
+    def test_impossible_tolerance_fails(self, monkeypatch):
+        # The thresholds are fixed, so widen the gap past its threshold.
+        import lpevac.lower_bound as lower_bound
+
+        report_gap = lower_bound.optimality_report
+        monkeypatch.setattr(
+            lower_bound,
+            "optimality_report",
+            lambda p: report_gap(p)._replace(gap=1e-3),
+        )
+        code, report = cmd_verify([1.5], grid=96)
         assert code == 1 and not report["passed"]
+        failed = [c["name"] for c in report["results"][0]["checks"] if not c["passed"]]
+        assert failed == ["optimality_gap"]
 
     def test_empty_list_is_usage_error(self):
         with pytest.raises(UsageError):
@@ -351,10 +364,21 @@ class TestMainEntry:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_cost"] == pytest.approx(6.0, abs=1e-9)
 
-    def test_verify_exit_codes(self, capsys):
+    def test_verify_exit_codes(self, monkeypatch, capsys):
         assert main(["verify", "1.5", "--grid", "96"]) == 0
         capsys.readouterr()
-        assert main(["verify", "1.5", "--grid", "96", "--gap-tol", "1e-18"]) == 1
+        # lower_bound binds min_chord on import; only verify's chord check
+        # reads the patched one.
+        import lpevac.chord_arc as chord_arc
+        import lpevac.lower_bound
+
+        chord = chord_arc.min_chord
+        monkeypatch.setattr(chord_arc, "min_chord", lambda p, u: chord(p, u) + 1e-3)
+        assert main(["verify", "1.5", "--grid", "96"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        failed = [c["name"] for c in doc["results"][0]["checks"] if not c["passed"]]
+        assert doc["passed"] is False
+        assert failed == ["min_chord_equals_critical_separation"]
 
     def test_verify_inf_is_strict_json(self, capsys):
         assert main(["verify", "inf", "--grid", "64"]) == 0
@@ -425,7 +449,11 @@ class TestMainEntry:
         assert captured.err == ""
         assert json.loads(captured.out)["passed"] is True
 
-    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "angle",
+        ["nan", "inf", "-inf", "pi/0", "0pi/0", "pi/0.0", "1" * 400 + "pi"],
+        ids=lambda angle: angle if len(angle) < 10 else "400-digit-pi",
+    )
     def test_simulate_non_finite_angle_exit_two(self, angle, capsys):
         assert _exit_code(["simulate", "2", "0", angle]) == 2
 
@@ -434,8 +462,9 @@ class TestMainEntry:
         [
             (["simulate", "2", "0", "nan"], "angle must be finite"),
             (["simulate", "2", "0", "--", "-inf"], "angle must be finite"),
-            (["verify", "2", "--tol", "nan"], "tolerance must be finite"),
+            (["simulate", "2", "0", "pi/0"], "angle must be finite"),
             (["pi", "2", "3", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+            (["profile", "2", "--phi=pi/0"], "argument --phi: angle must be finite"),
         ],
     )
     def test_bad_value_reports_its_message(self, argv, message, capsys):
@@ -470,8 +499,11 @@ class TestMainEntry:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("flag", ["--tol", "--gap-tol", "--chord-tol"])
     def test_verify_rejects_bad_tolerance(self, flag, value, capsys):
+        # verify's thresholds are fixed: no tolerance option exists
         assert _exit_code(["verify", "2", "--grid", "64", flag, value]) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {flag} {value}" in captured.err
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["pi", "3", "1"]) == 2

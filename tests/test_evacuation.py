@@ -242,6 +242,13 @@ class TestWorstCaseParams:
             prev = cur
         assert changes == 1
 
+    @pytest.mark.parametrize("p", [1e240, 1e250, 1e300, 1.7976931348623157e308])
+    def test_aux_root_at_extreme_p(self, p):
+        # w^p underflows, so the root solves (1 - w)^p = 1/2 exactly; Brent
+        # takes 800 to 1,030 evaluations to bisect down to it from [0, 1/2].
+        expected = -math.expm1(-math.log(2.0) / p)
+        assert abs(worst_case_params(p).aux_root - expected) <= 2.0 * math.ulp(expected)
+
     @pytest.mark.parametrize("p", [1.001, 1.5, 2.0, 3.0, 45.0])
     def test_arc_lengths_come_from_the_chart(self, p, monkeypatch):
         # pi_p is the only quadrature; H(s) of the closed forms is the chart's

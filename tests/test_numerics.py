@@ -235,6 +235,18 @@ class TestFindRootBracketed:
         r = find_root_bracketed(f, 0.0, 1.0, TOL)
         assert r.root == pytest.approx(oracle, abs=1e-10)
 
+    def test_budget_bounds_the_evaluations(self):
+        # two evaluations at the ends, then one per step: max_iter is the cap
+        # (a triple root takes Brent 150 steps to reach at this abs_tol)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - 1.0 / 3.0) ** 3
+
+        find_root_bracketed(f, 0.0, 1.0, Tolerance(1e-300, 0.0, max_iter=3))
+        assert 3 < len(calls) <= 2 + 3
+
     def test_rejects_unbracketed(self):
         with pytest.raises(BracketError):
             find_root_bracketed(lambda x: x + 2.0, 0.0, 1.0, TOL)
@@ -260,6 +272,17 @@ class TestMaximize1d:
         x, v = maximize_1d(math.sin, 0.0, math.pi, TOL)
         assert x == pytest.approx(math.pi / 2, abs=1e-8)
         assert v == pytest.approx(1.0, abs=1e-8)
+
+    def test_budget_bounds_the_evaluations(self):
+        # the grid, the two golden points, then one per step
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -((x - 0.3) ** 2)
+
+        maximize_1d(f, 0.0, 1.0, Tolerance(1e-300, 0.0, max_iter=3), n_grid=16)
+        assert 16 + 1 + 2 < len(calls) <= 16 + 1 + 2 + 3
 
     def test_degenerate_interval(self):
         assert maximize_1d(math.cos, 0.7, 0.7, TOL) == (0.7, math.cos(0.7))
