@@ -53,7 +53,6 @@ __all__ = [
     "worst_case_grid_oracle",
     # chord / arc
     "Direction",
-    "ChordArcSample",
     "MonotonicityReport",
     "tangential_chord",
     "tangential_chord_profile",

@@ -38,7 +38,6 @@ from .lp_geometry import (
 
 __all__ = [
     "Direction",
-    "ChordArcSample",
     "MonotonicityReport",
     "tangential_chord",
     "tangential_chord_profile",
@@ -55,12 +54,6 @@ _MID_CELLS = 510
 class Direction(Enum):
     INCREASING = "increasing"
     DECREASING = "decreasing"
-
-
-class ChordArcSample(NamedTuple):
-    theta: float
-    chord: float
-    arc_len: float
 
 
 class MonotonicityReport(NamedTuple):
@@ -147,12 +140,12 @@ def _uniform(n: int, hi: float) -> list[float]:
 
 def tangential_chord_profile(
     p: float, arc_len: float, grid_size: int
-) -> list[ChordArcSample]:
-    """Sample the tangential chord on a uniform angle grid over [0, pi/4]."""
+) -> list[tuple[float, float]]:
+    """(theta, tangential_chord(p, theta, arc_len)) for theta uniform on [0, pi/4]."""
     if grid_size < 2:
         raise DomainError(f"need at least 2 angles, got {grid_size}")
     return [
-        ChordArcSample(theta, tangential_chord(p, theta, arc_len), arc_len)
+        (theta, tangential_chord(p, theta, arc_len))
         for theta in _uniform(grid_size, QUARTER_PI)
     ]
 
@@ -272,7 +265,7 @@ def verify_tangential_chord_monotone(
         raise DomainError(f"grid must have at least 64 points, got {grid_size}")
     if arc_len is None:
         arc_len = worst_case_params(p).explored
-    values = [s.chord for s in tangential_chord_profile(p, arc_len, grid_size)]
+    values = [chord for _, chord in tangential_chord_profile(p, arc_len, grid_size)]
     if p == 2.0:
         worst = _max_or_nan(values) - min(values)
         direction = Direction.INCREASING

@@ -205,11 +205,10 @@ def cmd_sigma(p: float, steps: int, arc_len: Optional[float] = None) -> CurveTab
         raise UsageError(f"need at least 2 steps, got {steps}")
     if arc_len is None:
         arc_len = worst_case_params(p).explored
-    rows = [
-        (s.theta, s.chord) for s in tangential_chord_profile(p, arc_len, steps)
-    ]
     return CurveTable.build(
-        ("theta", "sigma"), rows, _meta("sigma", p=p, steps=steps, arc_len=arc_len)
+        ("theta", "sigma"),
+        tangential_chord_profile(p, arc_len, steps),
+        _meta("sigma", p=p, steps=steps, arc_len=arc_len),
     )
 
 

@@ -32,7 +32,7 @@ from .lp_geometry import (
     _ypow,
     chord_length,
     half_perimeter,
-    lp_norm,
+    unit_circle_point,
     validate_p,
 )
 from .numerics import Tolerance, find_root_bracketed, maximize_1d
@@ -157,9 +157,9 @@ def evac_time(params: AlgoParams, tau: float) -> float:
 
 
 def simulate_exit(params: AlgoParams, exit: CirclePoint) -> EvacOutcome:
-    """Run the search against one exit placement and report the outcome."""
-    if abs(lp_norm(params.p, exit.point) - 1.0) > 1e-6:
-        raise DomainError(f"exit {exit.point} does not lie on the unit circle")
+    """Run the search against the exit rho_p(exit.phi) and report the outcome."""
+    if chord_length(params.p, exit.point, unit_circle_point(params.p, exit.phi).point) > 1e-6:
+        raise DomainError(f"exit {exit.point} is not the point of C_p at angle {exit.phi}")
     total = _total(params.p)
     lam0 = _arc_from_zero(params.p, params.phi)
     lam_exit = _arc_from_zero(params.p, exit.phi)
@@ -221,9 +221,6 @@ def worst_case_params(p: float, branch: Optional[Branch] = None) -> CriticalPara
     The branch defaults to the optimal deployment for this p (axis for
     p <= 2, diagonal for p > 2); forcing a branch is allowed only where its
     closed form is valid (axis for p <= 2, diagonal for p >= 2, both at 2).
-    The separation and half the explored measure approach their p -> inf
-    limit 2 slowly, at a rate of about ln p / p (separation 1.9425 at
-    p = 50, within 0.05 of 2 only from p ~ 61.5).
     """
     p = validate_p(p)
     if p == 1.0:
@@ -250,13 +247,10 @@ def worst_case_cost(p: float) -> float:
     critical point may be a saddle, in which case the worst case sits at the
     end of the search; taking the max of the two candidates covers both.
     """
-    p = validate_p(p)
-    if p == 1.0 or math.isinf(p):
-        return 5.0
     cp = worst_case_params(p)
     cost = 1.0 + 0.5 * cp.explored + cp.separation
-    if p > 2.0:
-        cost = max(cost, 1.0 + half_perimeter(p))
+    if cp.p > 2.0:
+        cost = max(cost, 1.0 + half_perimeter(cp.p))
     return cost
 
 

@@ -207,8 +207,8 @@ def find_root_bracketed(
     """Find a root of f in [lo, hi] given f(lo) * f(hi) <= 0.
 
     Brent's method (inverse quadratic / secant steps guarded by bisection).
-    Terminates when |f(x)| <= abs_tol, when the bracket width drops below
-    abs_tol, or after ``tol.max_iter`` steps of one evaluation of f each.
+    Returns once |f(x)| <= abs_tol or the bracket is below abs_tol wide; raises
+    RuntimeError if neither holds after ``tol.max_iter`` one-evaluation steps.
     """
     if not lo <= hi:
         raise ValueError(f"bracket out of order: [{lo}, {hi}]")
@@ -224,7 +224,7 @@ def find_root_bracketed(
     a, b, c = lo, hi, lo
     fc = fa
     d = e = b - a
-    for _ in range(tol.max_iter):
+    for step in range(tol.max_iter + 1):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -232,6 +232,8 @@ def find_root_bracketed(
         mid = 0.5 * (c - b)
         if fb == 0.0 or abs(fb) <= tol.abs_tol or abs(mid) <= tol1:
             break
+        if step == tol.max_iter:
+            raise RuntimeError(f"no root within abs_tol after {step} steps, between {b} and {c}")
         if abs(e) < tol1 or abs(fa) <= abs(fb):
             d = e = mid
         else:
@@ -283,7 +285,8 @@ def maximize_1d(
 
     Returns (x*, f(x*)) with f(x*) >= the maximum over the initial grid; the
     global maximum is guaranteed only up to the grid resolution.  Golden
-    section stops at width abs_tol or after ``tol.max_iter`` more evaluations.
+    section stops at width abs_tol or after ``tol.max_iter`` more evaluations
+    and returns its best point either way: the grid bound holds at any budget.
     """
     if not lo <= hi:
         raise ValueError(f"bounds out of order: [{lo}, {hi}]")

@@ -8,7 +8,6 @@ import pytest
 
 from lpevac import (
     INF,
-    ChordArcSample,
     Branch,
     Direction,
     DomainError,
@@ -130,12 +129,23 @@ class TestTangentialChordProfile:
 
         profile = tangential_chord_profile(2.0, 4.0 * math.pi / 3.0, 9)
         assert len(profile) == 9
-        assert isinstance(profile[0], ChordArcSample)
-        assert profile[0].theta == 0.0
-        assert profile[-1].theta == pytest.approx(QUARTER, abs=1e-15)
-        for s in profile:
-            assert s.arc_len == 4.0 * math.pi / 3.0
-            assert s.chord == pytest.approx(math.sqrt(3.0), abs=1e-6)
+        assert all(type(s) is tuple and len(s) == 2 for s in profile)
+        assert profile[0][0] == 0.0
+        assert profile[-1][0] == pytest.approx(QUARTER, abs=1e-15)
+        for _, chord in profile:
+            assert chord == pytest.approx(math.sqrt(3.0), abs=1e-6)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, INF])
+    def test_pairs_are_theta_and_tangential_chord(self, p):
+        from lpevac import tangential_chord_profile
+
+        arc_len = worst_case_params(p).explored
+        profile = tangential_chord_profile(p, arc_len, 17)
+        thetas = [i * QUARTER / 16 for i in range(16)] + [QUARTER]
+        assert [theta for theta, _ in profile] == pytest.approx(thetas, abs=1e-15)
+        assert profile == [
+            (theta, tangential_chord(p, theta, arc_len)) for theta, _ in profile
+        ]
 
     @pytest.mark.parametrize("grid_size", [1, 0, -3])
     def test_grid_below_two_is_domain_error(self, grid_size):
@@ -484,7 +494,7 @@ class TestVerifyTangentialChordMonotone:
 
         def poisoned(p, arc_len, grid_size):
             samples = profile(p, arc_len, grid_size)
-            samples[where] = samples[where]._replace(chord=math.nan)
+            samples[where] = (samples[where][0], math.nan)
             return samples
 
         monkeypatch.setattr(chord_arc, "tangential_chord_profile", poisoned)

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import csv
+import importlib.util
 import json
 import math
 import subprocess
@@ -13,6 +15,7 @@ from lpevac.cli import (
     MAX_STEPS,
     UsageError,
     _at_most,
+    build_parser,
     cmd_cost,
     cmd_lchord,
     cmd_pi,
@@ -433,7 +436,7 @@ class TestMainEntry:
             if target == "_lattice_chords":
                 values[1] = math.nan
             else:
-                values[1] = values[1]._replace(chord=math.nan)
+                values[1] = (values[1][0], math.nan)
             return values
 
         monkeypatch.setattr(chord_arc, target, poisoned)
@@ -589,3 +592,17 @@ def test_command_imports_only_its_modules(argv, modules):
     _, (_, code, (loaded, _)) = _cold_start(argv)
     assert code == 0
     assert loaded == sorted(["lpevac", "lpevac.cli"] + [f"lpevac.{m}" for m in modules])
+
+
+def test_compare_cli_runs_every_subcommand():
+    # tools/compare_cli.py checks two source trees for byte-identical output
+    # over its argv list; each argv parses, and together they reach every
+    # subcommand (parsing imports no library module and starts no process)
+    path = Path(__file__).resolve().parent.parent / "tools" / "compare_cli.py"
+    spec = importlib.util.spec_from_file_location("compare_cli", path)
+    compare_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_cli)
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {parser.parse_args(argv).command for argv in compare_cli.ARGVS} == set(sub.choices)
+    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 76

@@ -9,7 +9,9 @@ from lpevac import (
     INF,
     AlgoParams,
     Branch,
+    CirclePoint,
     DomainError,
+    Point2,
     aux_root_equation,
     chord_length,
     evac_time,
@@ -161,6 +163,16 @@ class TestSimulateExit:
         assert out.total_cost == pytest.approx(
             1.0 + math.sqrt(3.0) + 2.0 * math.pi / 3.0, abs=1e-6
         )
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, INF])
+    def test_exit_off_its_angle_is_domain_error(self, p):
+        # (0, 1) lies on every C_p, but the point at angle 0 is (1, 0)
+        with pytest.raises(DomainError, match="not the point of C_p at angle 0.0"):
+            simulate_exit(AlgoParams(p, 0.0), CirclePoint(0.0, Point2(0.0, 1.0)))
+
+    def test_exit_off_the_circle_is_domain_error(self):
+        with pytest.raises(DomainError):
+            simulate_exit(AlgoParams(2.0, 0.0), CirclePoint(0.0, Point2(1.1, 0.0)))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
     def test_cost_identity_random_exits(self, p):

@@ -4,7 +4,6 @@ import pytest
 
 from lpevac import (
     INF,
-    DomainError,
     generic_lower_bound,
     half_perimeter,
     optimality_report,
@@ -34,27 +33,28 @@ class TestGenericLowerBound:
     def test_tight_against_upper(self, p):
         assert generic_lower_bound(p) == pytest.approx(worst_case_cost(p), abs=1e-4)
 
-    def test_rejects_extremes(self):
-        with pytest.raises(DomainError):
-            generic_lower_bound(1.0)
-        with pytest.raises(DomainError):
-            generic_lower_bound(INF)
+    def test_extremes_exactly_five(self):
+        # the general formula at the limits of worst_case_params: 1 + 2.4 +
+        # min_chord(1, 4.8) = 1.6 and 1 + 2 + min_chord(inf, 4.0) = 2.0
+        assert generic_lower_bound(1.0) == 5.0
+        assert generic_lower_bound(INF) == 5.0
 
 
 class TestOptimalityReport:
     def test_l1_is_optimal(self):
         rep = optimality_report(1.0)
         assert rep.upper == 5.0 and rep.generic_lower == 5.0 and rep.gap == 0.0
-        assert rep.generic_is_weak
+
+    def test_square_is_optimal(self):
+        rep = optimality_report(INF)
+        assert rep.upper == 5.0 and rep.generic_lower == 5.0 and rep.gap == 0.0
 
     def test_euclidean_gap(self):
         rep = optimality_report(2.0)
         assert abs(rep.gap) <= 1e-4
-        assert not rep.generic_is_weak
 
     def test_large_p_uses_generic_bound(self):
         rep = optimality_report(1000.0)
-        assert not rep.generic_is_weak
         assert abs(rep.gap) <= 1e-9
         assert rep.weak_lower < rep.generic_lower
 

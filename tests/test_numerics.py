@@ -237,15 +237,30 @@ class TestFindRootBracketed:
 
     def test_budget_bounds_the_evaluations(self):
         # two evaluations at the ends, then one per step: max_iter is the cap
-        # (a triple root takes Brent 150 steps to reach at this abs_tol)
+        # (a triple root takes Brent 150 steps to reach at this abs_tol), and
+        # running out of it is an error, not a silent estimate
         calls = []
 
         def f(x):
             calls.append(x)
             return (x - 1.0 / 3.0) ** 3
 
-        find_root_bracketed(f, 0.0, 1.0, Tolerance(1e-300, 0.0, max_iter=3))
+        with pytest.raises(RuntimeError, match="after 3 steps, between"):
+            find_root_bracketed(f, 0.0, 1.0, Tolerance(1e-300, 0.0, max_iter=3))
         assert 3 < len(calls) <= 2 + 3
+
+    def test_root_on_the_last_step_returns(self):
+        # the secant step from the ends lands on the root exactly; the stop
+        # test runs after that last evaluation
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+
+        r = find_root_bracketed(f, 0.0, 1.0, Tolerance(1e-300, 0.0, max_iter=1))
+        assert r.root == 0.5 and r.residual == 0.0
+        assert len(calls) == 2 + 1
 
     def test_rejects_unbracketed(self):
         with pytest.raises(BracketError):

@@ -10,7 +10,6 @@ from lpevac import (
     AlgoParams,
     BracketedRoot,
     Branch,
-    ChordArcSample,
     CirclePoint,
     CriticalParams,
     CurveTable,
@@ -46,7 +45,6 @@ RECORDS = [
         ("p", "branch", "aux_root", "exit_coord", "explored", "separation"),
         (3.0, Branch.DIAGONAL, 0.2, 0.5, 4.0, 1.8),
     ),
-    (ChordArcSample, ("theta", "chord", "arc_len"), (0.1, 1.2, 2.0)),
     (
         MonotonicityReport,
         ("p", "grid_size", "direction", "tol", "max_violation", "passed"),
@@ -54,8 +52,8 @@ RECORDS = [
     ),
     (
         OptimalityReport,
-        ("p", "upper", "weak_lower", "generic_lower", "gap", "generic_is_weak"),
-        (2.0, 4.8, 4.1, 4.8, 0.0, False),
+        ("p", "upper", "weak_lower", "generic_lower", "gap"),
+        (2.0, 4.8, 4.1, 4.8, 0.0),
     ),
     (CurveTable, ("columns", "rows", "metadata"), (("p",), [(1.0,)], {"k": "v"})),
 ]
@@ -89,7 +87,6 @@ class TestRecordContract:
 def test_defaults():
     assert Tolerance() == (1e-10, 1e-10, 60)
     assert AlgoParams(2.0) == AlgoParams(p=2.0, phi=0.0)
-    assert OptimalityReport(2.0, 4.8, 4.1, 4.8, 0.0).generic_is_weak is False
 
 
 TOLERANCE_ERRORS = [

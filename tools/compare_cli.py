@@ -1,0 +1,77 @@
+"""Check that two source trees of lpevac give byte-identical command-line output.
+
+    python3 tools/compare_cli.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold the ``lpevac`` package, such
+as a checkout's ``src``.  Each argv of ``ARGVS`` runs as
+``python -m lpevac.cli ARGV`` in a fresh interpreter, once with
+``PYTHONPATH=OLD_SRC`` and once with ``PYTHONPATH=NEW_SRC``, from an empty
+working directory.  The exit status, stdout and stderr of the two runs must
+be equal byte for byte.  Every argv that differs is printed with the
+streams that differ, then a count.  The exit status is 0 if no argv
+differs, 1 if one does and 2 on a usage error.  The 2 x 76 runs take
+about 20 s on a 2-vCPU Intel Xeon host.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+P_VALUES = ("1", "1.001", "1.5", "2", "3", "10", "45", "1e4", "1e17", "1e200", "inf")
+PER_P = (
+    "verify {p} --grid 256",
+    "params {p}",
+    "simulate {p} pi/4 pi",
+    "lchord {p}",
+    "sigma {p}",
+    "sigma {p} --format json",
+)
+TABLES = ("cost 1 45 --steps 17", "pi 1 1000 --steps 33", "profile 1.5 --steps 9")
+EDGES = (
+    "verify 1.5 2 inf --grid 64",
+    "sigma 2 --steps 1",
+    "lchord 2 --steps 1",
+    "cost 1 1 --steps 1",
+)
+ARGVS = (
+    [command.format(p=p).split() for command in PER_P for p in P_VALUES]
+    + [f"{command} --format {fmt}".split() for command in TABLES for fmt in ("csv", "json")]
+    + [command.split() for command in EDGES]
+)
+
+
+def run(src: Path, argv: list[str], cwd: str) -> tuple[int, bytes, bytes]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "lpevac.cli", *argv], cwd=cwd, env=env, capture_output=True
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(args: list[str]) -> int:
+    if len(args) != 2:
+        print("usage: python3 tools/compare_cli.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old, new = (Path(arg).resolve() for arg in args)
+    for src in (old, new):
+        if not (src / "lpevac" / "cli.py").is_file():
+            print(f"error: {src} holds no lpevac package", file=sys.stderr)
+            return 2
+    differ = 0
+    # an empty working directory, so that python -m finds lpevac only on PYTHONPATH
+    with tempfile.TemporaryDirectory() as cwd:
+        for argv in ARGVS:
+            a, b = run(old, argv, cwd), run(new, argv, cwd)
+            streams = [name for name, x, y in zip(("exit status", "stdout", "stderr"), a, b) if x != y]
+            if streams:
+                differ += 1
+                print(f"differs: {' '.join(argv)} ({', '.join(streams)})")
+    print(f"{differ} of {len(ARGVS)} argv differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
