@@ -22,7 +22,7 @@ tangential chord profile at the worst-case explored measure.
 from __future__ import annotations
 
 from enum import Enum
-from math import fabs, hypot
+from math import fabs, gcd, hypot, isfinite, nan
 from operator import add, sub
 from typing import NamedTuple, Optional
 
@@ -102,20 +102,20 @@ def min_chord(p: float, u: float) -> float:
     return separation(AlgoParams(p, phi), 0.5 * u_eff)
 
 
-def _quarter_turn_lattice(p: float, n: int) -> tuple[list[float], list[float]]:
+def _quarter_turn_lattice(p: float, n: int, d: int) -> tuple[list[float], list[float]]:
     # Coordinates (xs, ys) of the points of C_p at arc lengths i * E / n for
-    # i in [-2n, 3n], stored at index i + 2n: the midpoints [0, n] of the
-    # sweep, shifted by at most 2n cells either way.  Only the quadrant
-    # [0, 2E) is placed; the rest follows by quarter turns (x, y) -> (-y, x),
-    # which map C_p onto itself and advance arc length by 2E.
+    # the multiples i of d (a divisor of n) in [-2n, 3n], stored at index
+    # (i + 2n) / d.  Only the quadrant [0, 2E) is placed; the rest follows by
+    # quarter turns (x, y) -> (-y, x), which map C_p onto itself and advance
+    # arc length by 2E.
     h = _chart(p).eighth / n
-    pts = [_point_at_arc_from_zero(p, i * h) for i in range(2 * n)]
+    pts = [_point_at_arc_from_zero(p, i * h) for i in range(0, 2 * n, d)]
     x = [pt.x for pt in pts]
     y = [pt.y for pt in pts]
     # quadrant -1, quadrant 0 and the first half of quadrant 1: (y, -x),
     # (x, y), (-y, x)
-    xs = y + x + [-v for v in y[: n + 1]]
-    ys = [-v for v in x] + y + x[: n + 1]
+    xs = y + x + [-v for v in y[: n // d + 1]]
+    ys = [-v for v in x] + y + x[: n // d + 1]
     return xs, ys
 
 
@@ -157,12 +157,14 @@ def verify_min_chord_monotone(
 
     On the grid u_j = j * pi_p / (grid_size - 1) of :func:`min_chord_curve`,
     every chord needed joins two points of one arc-length lattice with cells
-    h = E / n, n = 2 (grid_size - 1) ceil(256 / (grid_size - 1)), so each
-    u_j / 2 is a whole number of cells; the lattice is placed once.  For
-    every u_j the midpoints are every r-th lattice point of [0, E],
-    r = max(1, n // 510), plus E itself: at least 510 cells per arc length,
-    linear in grid_size overall.  The chords of one arc length are one row,
-    computed from strided slices of the lattice by a row kernel that holds
+    h = E / n, n = 2 (grid_size - 1) k, k = ceil(256 / (grid_size - 1)), so
+    each u_j / 2 is a whole number of cells.  For every u_j the midpoints are
+    every r-th lattice point of [0, E], r = max(1, n // 510), plus E itself:
+    at least 510 cells per arc length, linear in grid_size overall.  A row
+    reads only multiples of d = gcd(r, 4k, n) cells, so the lattice is placed
+    once at those: 2n / d points, 1,020 at grid 256 and 1,022 at the default
+    512 (d = 2 at both).  The chords of one arc length are one row, computed
+    from strided slices of the lattice by a row kernel that holds
     :func:`lp_geometry.lp_norm`'s formula inline and returns its values bit
     for bit.  Two monotonicity facts are checked:
 
@@ -173,21 +175,23 @@ def verify_min_chord_monotone(
     - the values of :func:`min_chord_curve` do not drop as u grows.
 
     max_violation is the largest step against either direction, NaN (and
-    the check failed) if a chord is NaN; the reported direction is that in
-    u.  Certifies non-strict monotonicity up to floating noise only.
+    the check failed) if a chord is not finite; the direction reported is
+    that in u.  Certifies non-strict monotonicity up to floating noise only.
     """
     p = validate_p(p)
     if grid_size < 64:
         raise DomainError(f"grid must have at least 64 points, got {grid_size}")
     k = -(-256 // (grid_size - 1))
     n = 2 * (grid_size - 1) * k
-    xs, ys = _quarter_turn_lattice(p, n)
     r = max(1, n // _MID_CELLS)
+    d = gcd(r, 4 * k, n)  # the rows read only arc indices divisible by d
+    xs, ys = _quarter_turn_lattice(p, n, d)
+    lo, hi = 2 * n // d, 3 * n // d
     # the lemma's direction, chosen by the same test as min_chord's end
     increasing = p <= 2.0
     drops = [
-        _largest_drop(_lattice_chords(p, xs, ys, 2 * n, 3 * n, r, 4 * k * j), increasing)
-        for j in range(1, grid_size)
+        _largest_drop(_lattice_chords(p, xs, ys, lo, hi, r // d, s), increasing)
+        for s in range(4 * k // d, 4 * k * grid_size // d, 4 * k // d)
     ]
     curve = [chord for _, chord in min_chord_curve(p, grid_size)]
     drops.append(_largest_drop(curve))
@@ -200,14 +204,19 @@ def _lattice_chords(
 ) -> list[float]:
     # The l_p norms of (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s]) for
     # the midpoints i in range(lo, hi, r) and i = hi: one arc length of the
-    # lattice.  Bit for bit lp_norm's values: the same branches on p and the
+    # lattice, read as four strided slices with the end point appended to
+    # each.  Bit for bit lp_norm's values: the same branches on p and the
     # same formula with the larger component as a (a == b gives the same
     # value either way round, and a zero vector gives 0.0); hypot takes the
     # absolute values itself and is symmetric in its arguments.
-    up = slice(lo + s, hi + s, r)
-    down = slice(lo - s, hi - s, r)
-    dx = map(sub, xs[up] + [xs[hi + s]], xs[down] + [xs[hi - s]])
-    dy = map(sub, ys[up] + [ys[hi + s]], ys[down] + [ys[hi - s]])
+    x_up, x_down = xs[lo + s : hi + s : r], xs[lo - s : hi - s : r]
+    y_up, y_down = ys[lo + s : hi + s : r], ys[lo - s : hi - s : r]
+    x_up.append(xs[hi + s])
+    x_down.append(xs[hi - s])
+    y_up.append(ys[hi + s])
+    y_down.append(ys[hi - s])
+    dx = map(sub, x_up, x_down)
+    dy = map(sub, y_up, y_down)
     if p == 2.0:
         return list(map(hypot, dx, dy))
     dx = map(fabs, dx)
@@ -228,13 +237,12 @@ def _lattice_chords(
 
 
 def _largest_drop(values: list[float], increasing: bool = True) -> float:
-    # The largest step of values against the given direction, or 0.0; NaN
-    # if a value is NaN.
-    if increasing:
-        steps = map(sub, values, values[1:])
-    else:
-        steps = map(sub, values[1:], values)
-    return _max_or_nan([0.0, *steps])
+    # The largest step of values against the given direction, or 0.0; NaN if
+    # a value is not finite (chords are at most 2: the sum is finite iff all are).
+    if not isfinite(sum(values)):
+        return nan
+    a, b = (values, values[1:]) if increasing else (values[1:], values)
+    return max(0.0, max(map(sub, a, b), default=0.0))
 
 
 def _max_or_nan(values: list[float]) -> float:

@@ -274,15 +274,19 @@ class TestMinChordCurve:
         assert (steps - 1) * (513 + 1) <= calls[0] <= (steps - 1) * (1019 + 1)
 
     @pytest.mark.parametrize("p", [1.5, 3.0, INF])
-    @pytest.mark.parametrize("steps", [64, 256])
+    @pytest.mark.parametrize("steps", [64, 256, 512])
     def test_places_only_the_lattice(self, p, steps, monkeypatch):
-        # verify_min_chord_monotone places 2n points, n = 2 (steps - 1)
-        # ceil(256 / (steps - 1)): the first quadrant of the lattice, and
+        # verify_min_chord_monotone places 2n / d points, n = 2 (steps - 1) k,
+        # k = ceil(256 / (steps - 1)), d = gcd(r, 4k, n), r = max(1, n // 510):
+        # the points of the lattice's first quadrant that the rows read, and
         # nothing else but the curve's 2 (steps - 1)
         calls = _count_placements(monkeypatch, p)
         verify_min_chord_monotone(p, steps)
-        n = 2 * (steps - 1) * -(-256 // (steps - 1))
-        assert calls[0] == 2 * n + 2 * (steps - 1)
+        k = -(-256 // (steps - 1))
+        n = 2 * (steps - 1) * k
+        d = math.gcd(max(1, n // 510), 4 * k, n)
+        assert calls[0] == 2 * n // d + 2 * (steps - 1)
+        assert calls[0] == {64: 1386, 256: 1530, 512: 2044}[steps]
 
     def test_rejects_single_step(self):
         with pytest.raises(DomainError):
@@ -369,9 +373,15 @@ class TestVerifyMinChordMonotone:
         from lpevac.chord_arc import _largest_drop
 
         assert _largest_drop([1.0, 0.0]) == 1.0
-        for values in ([math.nan, 1.0, 0.0], [1.0, math.nan, 0.0], [1.0, 0.0, math.nan]):
+        for bad in (math.nan, INF, -INF):
+            for where in range(3):
+                values = [1.0, 0.0, 2.0]
+                values[where] = bad
+                assert math.isnan(_largest_drop(values)), values
+                assert math.isnan(_largest_drop(values, increasing=False)), values
+        for values in ([1.0, 2.0, INF], [INF, INF], [-INF, INF]):
             assert math.isnan(_largest_drop(values))
-            assert math.isnan(_largest_drop(values, increasing=False))
+        assert math.isnan(_largest_drop([INF, 2.0, 1.0], increasing=False))
 
 
 KERNEL_P = (1.0, 1.0 + 1e-7, 1.001, 1.5, 2.0, 3.7, 20.0, 1e4, 1e17, INF)
@@ -417,15 +427,19 @@ class TestLatticeChords:
 
     @pytest.mark.parametrize("steps", [64, 256])
     def test_lattice_is_the_read_range(self, steps):
-        # 5n + 1 points, arc indices [-2n, 3n]: the start of the quarter
-        # turns of the full turn's lattice, point for point
+        # 5n / d + 1 points, the multiples of d among the arc indices
+        # [-2n, 3n]: every d-th point of the start of the quarter turns of
+        # the full turn's lattice, bit for bit
         from lpevac.chord_arc import _quarter_turn_lattice
 
         n = 2 * (steps - 1) * -(-256 // (steps - 1))
-        xs, ys = _quarter_turn_lattice(3.0, n)
         full_xs, full_ys = _full_turn_lattice(3.0, n)
-        assert len(xs) == len(ys) == 5 * n + 1
-        assert xs == full_xs[: 5 * n + 1] and ys == full_ys[: 5 * n + 1]
+        for d in (1, 2):
+            xs, ys = _quarter_turn_lattice(3.0, n, d)
+            assert len(xs) == len(ys) == 5 * n // d + 1
+            want_xs, want_ys = full_xs[: 5 * n + 1 : d], full_ys[: 5 * n + 1 : d]
+            assert list(map(float.hex, xs)) == list(map(float.hex, want_xs))
+            assert list(map(float.hex, ys)) == list(map(float.hex, want_ys))
 
 
 def _full_turn_lattice(p, n):
@@ -462,8 +476,12 @@ def _per_chord_violation(p, grid_size):
     return max(worst, drop([c for _, c in min_chord_curve(p, grid_size)]))
 
 
-@pytest.mark.parametrize("p", ORACLE_P)
-@pytest.mark.parametrize("grid", [64, 256])
+# grid 1100: n = 2198, r = 4 and d = 2, so the end midpoint E lies off the
+# compressed lattice's stride and reaches the row as its appended point
+@pytest.mark.parametrize(
+    "grid,p",
+    [(grid, p) for grid in (64, 256) for p in ORACLE_P] + [(1100, 1.5), (1100, 45.0)],
+)
 def test_min_chord_monotone_matches_per_chord_sweep(p, grid):
     rep = verify_min_chord_monotone(p, grid)
     worst = _per_chord_violation(p, grid)

@@ -324,6 +324,30 @@ class TestCmdSimulate:
         assert doc["total_cost"] == pytest.approx(5.0, abs=1e-9)
 
 
+def _verify_poisoned_fails_with_nan(p, check, target, where, bad, monkeypatch, capsys):
+    # verify with chord_arc's target wrapped to put bad at index where of
+    # each list of chords (or of (theta, chord) pairs) it returns: the
+    # check fails, writes "nan" as its violation, and the JSON stays strict
+    import lpevac.chord_arc as chord_arc
+
+    original = getattr(chord_arc, target)
+
+    def poisoned(*args):
+        values = original(*args)
+        if target == "_lattice_chords":
+            values[where] = bad
+        else:
+            values[where] = (values[where][0], bad)
+        return values
+
+    monkeypatch.setattr(chord_arc, target, poisoned)
+    assert main(["verify", p, "--grid", "64"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    failed = doc["results"][0]["checks"][check]
+    assert failed["max_violation"] == "nan" and failed["passed"] is False
+    assert doc["passed"] is False
+
+
 class TestMainEntry:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -427,24 +451,23 @@ class TestMainEntry:
     def test_verify_nan_violation_fails_as_strict_json(
         self, p, check, target, monkeypatch, capsys
     ):
-        import lpevac.chord_arc as chord_arc
+        _verify_poisoned_fails_with_nan(p, check, target, 1, math.nan, monkeypatch, capsys)
 
-        original = getattr(chord_arc, target)
-
-        def poisoned(*args):
-            values = original(*args)
-            if target == "_lattice_chords":
-                values[1] = math.nan
-            else:
-                values[1] = (values[1][0], math.nan)
-            return values
-
-        monkeypatch.setattr(chord_arc, target, poisoned)
-        assert main(["verify", p, "--grid", "64"]) == 1
-        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
-        failed = doc["results"][0]["checks"][check]
-        assert failed["max_violation"] == "nan" and failed["passed"] is False
-        assert doc["passed"] is False
+    # an infinite chord at the end of its row in the direction checked (the
+    # last chord for p < 2, the first for p > 2) leaves no finite drop
+    @pytest.mark.parametrize(
+        "p,check,target,where",
+        [
+            ("1.5", 0, "_lattice_chords", -1),
+            ("3", 0, "_lattice_chords", 0),
+            ("1.5", 1, "tangential_chord_profile", -1),
+            ("3", 1, "tangential_chord_profile", 0),
+        ],
+    )
+    def test_verify_infinite_chord_fails_as_strict_json(
+        self, p, check, target, where, monkeypatch, capsys
+    ):
+        _verify_poisoned_fails_with_nan(p, check, target, where, math.inf, monkeypatch, capsys)
 
     def test_verify_large_p_passes_silently(self, capsys):
         assert main(["verify", "100", "--grid", "64"]) == 0
@@ -605,4 +628,4 @@ def test_compare_cli_runs_every_subcommand():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {parser.parse_args(argv).command for argv in compare_cli.ARGVS} == set(sub.choices)
-    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 76
+    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 78

@@ -9,7 +9,7 @@ as a checkout's ``src``.  Each argv of ``ARGVS`` runs as
 working directory.  The exit status, stdout and stderr of the two runs must
 be equal byte for byte.  Every argv that differs is printed with the
 streams that differ, then a count.  The exit status is 0 if no argv
-differs, 1 if one does and 2 on a usage error.  The 2 x 76 runs take
+differs, 1 if one does and 2 on a usage error.  The 2 x 78 runs take
 about 20 s on a 2-vCPU Intel Xeon host.
 """
 from __future__ import annotations
@@ -32,6 +32,8 @@ PER_P = (
 TABLES = ("cost 1 45 --steps 17", "pi 1 1000 --steps 33", "profile 1.5 --steps 9")
 EDGES = (
     "verify 1.5 2 inf --grid 64",
+    "verify 3 --grid 512",
+    "verify 45 --grid 1100",
     "sigma 2 --steps 1",
     "lchord 2 --steps 1",
     "cost 1 1 --steps 1",
