@@ -21,7 +21,6 @@ __all__ = [
     "__version__",
     # numerics
     "Tolerance",
-    "BracketedRoot",
     "BracketError",
     "IntegrationError",
     "integrate_adaptive",

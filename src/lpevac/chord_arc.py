@@ -58,12 +58,9 @@ class Direction(Enum):
 
 class MonotonicityReport(NamedTuple):
     """Outcome of a grid monotonicity check; passes iff the largest
-    violation stays within the declared tolerance."""
+    violation stays within the tolerance the check was given."""
 
-    p: float
-    grid_size: int
     direction: Direction
-    tol: float
     max_violation: float
     passed: bool
 
@@ -196,7 +193,7 @@ def verify_min_chord_monotone(
     curve = [chord for _, chord in min_chord_curve(p, grid_size)]
     drops.append(_largest_drop(curve))
     worst = _max_or_nan(drops)
-    return MonotonicityReport(p, grid_size, Direction.INCREASING, tol, worst, worst <= tol)
+    return MonotonicityReport(Direction.INCREASING, worst, worst <= tol)
 
 
 def _lattice_chords(
@@ -280,4 +277,4 @@ def verify_tangential_chord_monotone(
     else:
         direction = Direction.INCREASING if p < 2.0 else Direction.DECREASING
         worst = _largest_drop(values, p < 2.0)
-    return MonotonicityReport(p, grid_size, direction, tol, worst, worst <= tol)
+    return MonotonicityReport(direction, worst, worst <= tol)

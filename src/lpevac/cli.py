@@ -175,18 +175,18 @@ def cmd_cost(p_min: float, p_max: float, steps: int) -> CurveTable:
 
 def cmd_profile(p: float, phi: float, steps: int) -> CurveTable:
     from .evacuation import AlgoParams, separation
-    from .lp_geometry import QUARTER_PI, half_perimeter
+    from .lp_geometry import _chart
     from .tables import CurveTable
 
     if steps < 2:
         raise UsageError(f"need at least 2 steps, got {steps}")
-    if not (abs(phi) <= 1e-12 or abs(phi - QUARTER_PI) <= 1e-12):
-        raise UsageError("profile supports deployment angles 0 and pi/4 only")
     params = AlgoParams(p, phi)
-    hp = half_perimeter(p)
+    # tau runs to the chart's pi_p, on which the robots are placed, so that
+    # they meet at the last row
+    pi_p = 4.0 * _chart(p).eighth
     rows = []
     for i in range(steps):
-        tau = hp * i / (steps - 1)
+        tau = pi_p * i / (steps - 1)
         d = separation(params, tau)
         rows.append((tau, d, 1.0 + tau + d))
     return CurveTable.build(

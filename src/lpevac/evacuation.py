@@ -203,9 +203,7 @@ def _axis_branch(p: float) -> tuple[Optional[float], float, float, float]:
 def _diagonal_branch(p: float) -> tuple[Optional[float], float, float, float]:
     # Critical data for deployment phi = pi/4, valid for p in [2, inf).
     # The equation is -1 at w = 0 and 1 - 2^(-p) > 0 at w = 1/2.
-    w = find_root_bracketed(
-        lambda w: aux_root_equation(p, w), 0.0, 0.5, _ROOT_TOL
-    ).root
+    w = find_root_bracketed(lambda w: aux_root_equation(p, w), 0.0, 0.5, _ROOT_TOL)
     wq = w ** (p / (p - 1.0))
     s = (wq + 1.0) ** (-1.0 / p)
     # (1 - s^p)^(1/p) computed from the exact value s^p = 1 / (1 + wq)

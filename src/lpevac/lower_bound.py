@@ -28,7 +28,6 @@ __all__ = [
 class OptimalityReport(NamedTuple):
     """upper vs lower bounds at one p; gap = upper - generic_lower."""
 
-    p: float
     upper: float
     weak_lower: float
     generic_lower: float
@@ -50,4 +49,4 @@ def optimality_report(p: float) -> OptimalityReport:
     p = validate_p(p)
     upper = worst_case_cost(p)
     generic = generic_lower_bound(p)
-    return OptimalityReport(p, upper, weak_lower_bound(p), generic, upper - generic)
+    return OptimalityReport(upper, weak_lower_bound(p), generic, upper - generic)

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "Tolerance",
-    "BracketedRoot",
     "IntegrationError",
     "BracketError",
     "integrate_adaptive",
@@ -68,21 +67,6 @@ class Tolerance(_ToleranceFields):
     def _make(cls, iterable) -> "Tolerance":
         # _replace builds through _make: validate there too
         return cls(*iterable)
-
-
-class BracketedRoot(NamedTuple):
-    """Result of a bracketed root search.
-
-    The root lies in [lo, hi]; ``residual`` is f(root).  The residual is
-    within the requested absolute tolerance whenever termination happened on
-    the residual test (steep functions may instead terminate on the bracket
-    width test, see ``find_root_bracketed``).
-    """
-
-    lo: float
-    hi: float
-    root: float
-    residual: float
 
 
 class IntegrationError(RuntimeError):
@@ -203,21 +187,22 @@ def find_root_bracketed(
     lo: float,
     hi: float,
     tol: Tolerance,
-) -> BracketedRoot:
+) -> float:
     """Find a root of f in [lo, hi] given f(lo) * f(hi) <= 0.
 
     Brent's method (inverse quadratic / secant steps guarded by bisection).
-    Returns once |f(x)| <= abs_tol or the bracket is below abs_tol wide; raises
-    RuntimeError if neither holds after ``tol.max_iter`` one-evaluation steps.
+    Returns the root once |f(root)| <= abs_tol or the bracket around it is
+    below abs_tol wide; raises RuntimeError if neither holds after
+    ``tol.max_iter`` one-evaluation steps.
     """
     if not lo <= hi:
         raise ValueError(f"bracket out of order: [{lo}, {hi}]")
     fa = f(lo)
     fb = f(hi)
     if fa == 0.0:
-        return BracketedRoot(lo, lo, lo, 0.0)
+        return lo
     if fb == 0.0:
-        return BracketedRoot(hi, hi, hi, 0.0)
+        return hi
     if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={fa}, {fb}")
 
@@ -267,8 +252,7 @@ def find_root_bracketed(
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-    blo, bhi = (b, c) if b <= c else (c, b)
-    return BracketedRoot(blo, bhi, b, fb)
+    return b
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

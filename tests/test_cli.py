@@ -27,7 +27,9 @@ from lpevac.cli import (
     parse_angle,
     parse_p,
 )
-from lpevac.lp_geometry import _chart, half_perimeter
+from lpevac.chord_arc import tangential_chord_profile
+from lpevac.evacuation import AlgoParams, separation
+from lpevac.lp_geometry import QUARTER_PI, DomainError, _chart, half_perimeter
 from lpevac.tables import CurveTable, quantize
 
 
@@ -232,9 +234,25 @@ class TestCmdProfile:
         t = cmd_profile(2.0, 0.0, 257)
         assert max(t.column("evac_time")) == pytest.approx(4.826445909962067, abs=1e-4)
 
+    def test_any_phi_in_range(self):
+        hp = 4.0 * _chart(2.0).eighth
+        expected = [quantize(separation(AlgoParams(2.0, 0.3), hp * i / 15)) for i in range(16)]
+        assert cmd_profile(2.0, 0.3, 16).column("delta") == expected
+
     def test_rejects_other_phi(self):
-        with pytest.raises(UsageError):
-            cmd_profile(2.0, 0.3, 16)
+        with pytest.raises(DomainError, match="deployment angle must lie in"):
+            cmd_profile(2.0, 1.0, 16)
+
+    @pytest.mark.parametrize("p", [1.0, 1.001, 1.5, 3.0, 45.0, math.inf])
+    @pytest.mark.parametrize(
+        "phi", [0.0, QUARTER_PI / 2, QUARTER_PI], ids=["0", "pi/8", "pi/4"]
+    )
+    def test_robots_meet_at_the_last_row(self, p, phi):
+        # tau runs to the chart's pi_p, the arc length the robots are placed
+        # by; the quadrature pi_p differs from it by up to 1e-13
+        tau, delta, _ = cmd_profile(p, phi, 9).rows[-1]
+        assert tau == quantize(4.0 * _chart(p).eighth)
+        assert delta == 0.0
 
 
 class TestCmdSigma:
@@ -249,6 +267,24 @@ class TestCmdSigma:
         assert all(a <= b + 1e-9 for a, b in zip(inc, inc[1:]))
         dec = cmd_sigma(3.0, 65).column("sigma")
         assert all(a >= b - 1e-9 for a, b in zip(dec, dec[1:]))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_arc_len_option(self, fmt, capsys):
+        argv = ["sigma", "3", "--arc-len", "2.5", "--steps", "9", "--format", fmt]
+        assert main(argv) == 0
+        table = _read_table(capsys.readouterr().out, fmt)
+        expected = [(quantize(t), quantize(s)) for t, s in tangential_chord_profile(3, 2.5, 9)]
+        assert table.rows == expected
+        assert table.metadata["arc_len"] == "2.5"
+
+    @pytest.mark.parametrize("arc_len", ["0", "nan"])
+    def test_arc_len_outside_the_circle_exit_two(self, arc_len, capsys):
+        assert main(["sigma", "3", "--arc-len", arc_len, "--steps", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"error: arc length {float(arc_len)} outside (0, 2*pi_p)"
+        ]
 
 
 class TestCmdLchord:

@@ -203,13 +203,13 @@ class TestBreakPoints:
 class TestFindRootBracketed:
     def test_linear(self):
         r = find_root_bracketed(lambda x: x - 0.5, 0.0, 1.0, TOL)
-        assert r.root == pytest.approx(0.5, abs=1e-10)
-        assert r.lo <= r.root <= r.hi
+        assert type(r) is float
+        assert r == pytest.approx(0.5, abs=1e-10)
 
     def test_quadratic_analytic(self):
         # w^2 + 1 - 2(1-w)^2 = 0 on [0, 1] solves w^2 - 4w + 1 = 0
         r = find_root_bracketed(lambda w: w * w + 1 - 2 * (1 - w) ** 2, 0.0, 1.0, TOL)
-        assert r.root == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-10)
+        assert r == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-10)
 
     def test_cubic_matches_scan_oracle(self):
         f = lambda w: w**3 + 1 - 2 * (1 - w) ** 3
@@ -233,7 +233,7 @@ class TestFindRootBracketed:
         oracle = 0.5 * (lo + hi)
         assert oracle == pytest.approx(0.20405781723545574, abs=1e-12)
         r = find_root_bracketed(f, 0.0, 1.0, TOL)
-        assert r.root == pytest.approx(oracle, abs=1e-10)
+        assert r == pytest.approx(oracle, abs=1e-10)
 
     def test_budget_bounds_the_evaluations(self):
         # two evaluations at the ends, then one per step: max_iter is the cap
@@ -259,8 +259,8 @@ class TestFindRootBracketed:
             return x - 0.5
 
         r = find_root_bracketed(f, 0.0, 1.0, Tolerance(1e-300, 0.0, max_iter=1))
-        assert r.root == 0.5 and r.residual == 0.0
-        assert len(calls) == 2 + 1
+        assert r == 0.5
+        assert calls == [0.0, 1.0, 0.5]
 
     def test_rejects_unbracketed(self):
         with pytest.raises(BracketError):
@@ -271,10 +271,12 @@ class TestFindRootBracketed:
         scale=st.floats(min_value=0.1, max_value=50.0),
     )
     def test_result_inside_bracket_with_small_residual(self, root, scale):
+        # f changes sign only at root, so a bracket below abs_tol wide puts
+        # the result within abs_tol of it
         f = lambda x: scale * (x - root) ** 3
         r = find_root_bracketed(f, -1.0, 1.0, TOL)
-        assert -1.0 <= r.lo <= r.root <= r.hi <= 1.0
-        assert abs(r.residual) <= TOL.abs_tol or (r.hi - r.lo) <= 2 * TOL.abs_tol
+        assert -1.0 <= r <= 1.0
+        assert abs(f(r)) <= TOL.abs_tol or abs(r - root) <= 2 * TOL.abs_tol
 
 
 class TestMaximize1d:

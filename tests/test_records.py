@@ -8,7 +8,6 @@ import pytest
 
 from lpevac import (
     AlgoParams,
-    BracketedRoot,
     Branch,
     CirclePoint,
     CriticalParams,
@@ -27,7 +26,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # One valid instance per record, as (class, field names, positional values).
 RECORDS = [
     (Tolerance, ("abs_tol", "rel_tol", "max_iter"), (1e-8, 1e-9, 30)),
-    (BracketedRoot, ("lo", "hi", "root", "residual"), (0.0, 1.0, 0.5, 1e-12)),
     (AlgoParams, ("p", "phi"), (1.5, 0.25)),
     (
         EvacOutcome,
@@ -47,13 +45,13 @@ RECORDS = [
     ),
     (
         MonotonicityReport,
-        ("p", "grid_size", "direction", "tol", "max_violation", "passed"),
-        (2.0, 64, Direction.INCREASING, 1e-9, 0.0, True),
+        ("direction", "max_violation", "passed"),
+        (Direction.INCREASING, 0.0, True),
     ),
     (
         OptimalityReport,
-        ("p", "upper", "weak_lower", "generic_lower", "gap"),
-        (2.0, 4.8, 4.1, 4.8, 0.0),
+        ("upper", "weak_lower", "generic_lower", "gap"),
+        (4.8, 4.1, 4.8, 0.0),
     ),
     (CurveTable, ("columns", "rows", "metadata"), (("p",), [(1.0,)], {"k": "v"})),
 ]
