@@ -119,15 +119,14 @@ def _quarter_turn_lattice(p: float, n: int, d: int) -> tuple[list[float], list[f
 def min_chord_curve(p: float, steps: int) -> list[tuple[float, float]]:
     """(u, min_chord(p, u)) on the uniform grid u_j = j * pi_p / (steps - 1).
 
-    Each value is the end chord of :func:`min_chord`, two point placements
-    per arc length; :func:`verify_min_chord_monotone` certifies on the same
-    grid that it is the shortest chord and that it grows with u.
+    Every row comes from :func:`min_chord`: 0 at u = 0, else an end chord of
+    two point placements.  :func:`verify_min_chord_monotone` certifies on the
+    same grid that it is the shortest chord and that it grows with u.
     """
     p = validate_p(p)
     if steps < 2:
         raise DomainError(f"need at least 2 arc lengths, got {steps}")
-    us = _uniform(steps, 4.0 * _chart(p).eighth)
-    return [(0.0, 0.0)] + [(u, min_chord(p, u)) for u in us[1:]]
+    return [(u, min_chord(p, u)) for u in _uniform(steps, 4.0 * _chart(p).eighth)]
 
 
 def _uniform(n: int, hi: float) -> list[float]:

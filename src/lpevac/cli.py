@@ -114,8 +114,12 @@ def _p_grid(p_min: float, p_max: float, steps: int) -> list[float]:
         return [p_min]
     if steps < 2:
         raise UsageError(f"need at least 2 steps for a range, got {steps}")
-    h = (p_max - p_min) / (steps - 1)
-    return [p_min + i * h for i in range(steps - 1)] + [p_max]
+    return _grid(p_min, p_max, steps)
+
+
+def _grid(lo: float, hi: float, n: int) -> list[float]:
+    h = (hi - lo) / (n - 1)
+    return [lo + i * h for i in range(n - 1)] + [hi]
 
 
 def _meta(command: str, **kwargs) -> dict[str, str]:
@@ -183,10 +187,8 @@ def cmd_profile(p: float, phi: float, steps: int) -> CurveTable:
     params = AlgoParams(p, phi)
     # tau runs to the chart's pi_p, on which the robots are placed, so that
     # they meet at the last row
-    pi_p = 4.0 * _chart(p).eighth
     rows = []
-    for i in range(steps):
-        tau = pi_p * i / (steps - 1)
+    for tau in _grid(0.0, 4.0 * _chart(p).eighth, steps):
         d = separation(params, tau)
         rows.append((tau, d, 1.0 + tau + d))
     return CurveTable.build(

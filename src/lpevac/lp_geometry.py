@@ -128,14 +128,13 @@ def _ypow(p: float, x: float) -> float:
 def _speed(p: float, z: float) -> float:
     """l_p speed of the chart at z in [0, 1): (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p).
 
-    Constant 2 for p = 1 (the diamond) and constant 1 for p = inf (the
-    square).  With w = z^p the speed is (1 + (w / (1 - w))^(p-1))^(1/p).
-    On the folded segment, w <= 1/2, the ratio is at most 1 and the three
-    powers cannot overflow for any p; beyond the fold the speed is
-    evaluated in log space.  Unchecked: p must be valid and z in [0, 1).
+    Constant 2 for p = 1 (the diamond) and 1 for p = inf (the square).  With
+    w = z^p it is (1 + (w / (1 - w))^(p-1))^(1/p), whose powers cannot
+    overflow while w <= 1/2.  Callers stay on the folded segment, but the
+    rounded fold can have w > 1/2 (0.500017 at p = 1e12, 0.574 at 5e15),
+    and from about p = 2.6e9 that form can overflow there; so w > 1/2 takes
+    log space.  Unchecked: p must be valid and z in [0, 1).
     """
-    if p == 1.0:
-        return 2.0
     if p == INF:
         return 1.0
     w = z**p

@@ -15,6 +15,7 @@ from lpevac.cli import (
     MAX_STEPS,
     UsageError,
     _at_most,
+    _grid,
     build_parser,
     cmd_cost,
     cmd_lchord,
@@ -27,7 +28,7 @@ from lpevac.cli import (
     parse_angle,
     parse_p,
 )
-from lpevac.chord_arc import tangential_chord_profile
+from lpevac.chord_arc import _uniform, tangential_chord_profile
 from lpevac.evacuation import AlgoParams, separation
 from lpevac.lp_geometry import QUARTER_PI, DomainError, _chart, half_perimeter
 from lpevac.tables import CurveTable, quantize
@@ -236,23 +237,35 @@ class TestCmdProfile:
 
     def test_any_phi_in_range(self):
         hp = 4.0 * _chart(2.0).eighth
-        expected = [quantize(separation(AlgoParams(2.0, 0.3), hp * i / 15)) for i in range(16)]
+        h = hp / 15
+        taus = [i * h for i in range(15)] + [hp]
+        expected = [quantize(separation(AlgoParams(2.0, 0.3), tau)) for tau in taus]
         assert cmd_profile(2.0, 0.3, 16).column("delta") == expected
 
     def test_rejects_other_phi(self):
         with pytest.raises(DomainError, match="deployment angle must lie in"):
             cmd_profile(2.0, 1.0, 16)
 
-    @pytest.mark.parametrize("p", [1.0, 1.001, 1.5, 3.0, 45.0, math.inf])
+    @pytest.mark.parametrize("p", [1.0, 1.001, 1.5, 2.0, 3.0, 45.0, math.inf])
     @pytest.mark.parametrize(
         "phi", [0.0, QUARTER_PI / 2, QUARTER_PI], ids=["0", "pi/8", "pi/4"]
     )
     def test_robots_meet_at_the_last_row(self, p, phi):
         # tau runs to the chart's pi_p, the arc length the robots are placed
-        # by; the quadrature pi_p differs from it by up to 1e-13
-        tau, delta, _ = cmd_profile(p, phi, 9).rows[-1]
-        assert tau == quantize(4.0 * _chart(p).eighth)
-        assert delta == 0.0
+        # by; the quadrature pi_p differs from it by up to 1e-13, and
+        # pi_p * i / (steps - 1) at i = steps - 1 misses it by an ulp for
+        # some steps
+        pi_p = quantize(4.0 * _chart(p).eighth)
+        for steps in range(2, 65):
+            tau, delta, _ = cmd_profile(p, phi, steps).rows[-1]
+            assert (steps, tau, delta) == (steps, pi_p, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 512])
+    def test_grid_is_the_chord_layers_uniform_grid(self, n):
+        # profile samples tau, and min_chord_curve and tangential_chord_profile
+        # their arguments, by one rule kept in two modules
+        for hi in (4.0 * _chart(1.5).eighth, 4.0 * _chart(45.0).eighth, QUARTER_PI):
+            assert [x.hex() for x in _uniform(n, hi)] == [x.hex() for x in _grid(0.0, hi, n)]
 
 
 class TestCmdSigma:
@@ -664,4 +677,4 @@ def test_compare_cli_runs_every_subcommand():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {parser.parse_args(argv).command for argv in compare_cli.ARGVS} == set(sub.choices)
-    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 78
+    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 85

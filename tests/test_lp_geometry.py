@@ -20,6 +20,7 @@ from lpevac import (
 from lpevac import lp_geometry, numerics
 from lpevac.lp_geometry import (
     _QUAD_TOL,
+    _Chart,
     _arc_from_zero,
     _chart,
     _fold_limit,
@@ -126,7 +127,7 @@ class TestChartPoint:
 
 def _log_space_speed(p, z):
     # The chart speed (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p) in log space, the
-    # form _speed keeps only beyond the fold.
+    # form _speed takes where z^p > 1/2.
     if z == 0.0:
         return 1.0
     lz = math.log(z)
@@ -198,9 +199,10 @@ class TestChartSpeed:
         assert count[0] == calls
 
     def test_p1_constant_two(self):
-        # exponent p^2 - p vanishes, the integrand collapses to 2; the
+        # exponent p^2 - p vanishes, the integrand collapses to 2 on both
+        # sides of the fold z = 1/2, with no branch of its own; the
         # quarter-arc cross-check 2 * (1/2) = pi_1 / 4 pins the constant
-        for z in (0.0, 0.2, 0.49, 0.9):
+        for z in (0.0, 0.2, 0.49, 0.5, math.nextafter(0.5, 1.0), 0.9, math.nextafter(1.0, 0.0)):
             assert _speed(1.0, z) == 2.0
         assert 2.0 * 0.5 == half_perimeter(1.0) / 4.0
 
@@ -211,6 +213,20 @@ class TestChartSpeed:
         dx = (-(z + h) + (z - h)) / (2 * h)
         dy = (_ypow(p, z + h) - _ypow(p, z - h)) / (2 * h)
         assert _speed(p, z) == pytest.approx(lp_norm(p, Point2(dx, dy)), abs=1e-6)
+
+
+class TestChartInverse:
+    @pytest.mark.parametrize("p, i, ulps", [(3.1875, 3, 1), (4.9375, 2, 2)])
+    def test_bisection_fallback_a_few_ulps_below_a_panel_end(self, p, i, ulps):
+        # Here a Newton step of x_at lands on or past its bracket's end, so
+        # it bisects instead; no other test reaches that branch.
+        ch = _Chart(p)
+        target = ch.lam[i]
+        for _ in range(ulps):
+            target = math.nextafter(target, 0.0)
+        x = ch.x_at(target)
+        assert ch.xs[i - 1] <= x <= ch.xs[i]
+        assert abs(ch.arc(x) - target) <= 4.4e-16 * ch.eighth
 
 
 class TestHalfPerimeter:
