@@ -18,13 +18,13 @@ length from 0 on that segment: it cuts the segment into a few to a few
 dozen panels, each carrying the Chebyshev series of the integral of the
 speed, so evaluating H is one Clenshaw sum and inverting it a few Newton
 steps.  The adaptive quadrature computes one number, pi_p, independently of
-the chart: one integral whose panels start cut at break points, for p > 4
-the knee where the speed starts its rise to the fold, and dyadic points
-toward the fold.  The module-level caches of charts and of pi_p each hold
-the one p in use: every command finishes one p before it starts the next,
-so a second entry would not be read again.  Rebuilding an entry is
-deterministic and inserts take a lock, so the caches are safe under
-concurrent use.
+the chart: one integral whose panels start cut at break points on the two
+layers where the speed is not smooth, its rise to the fold and, below
+p = 2, its power law at z = 0.  The module-level caches of charts and of
+pi_p each hold the one p in use: every command finishes one p before it
+starts the next, so a second entry would not be read again.  Rebuilding an
+entry is deterministic and inserts take a lock, so the caches are safe
+under concurrent use.
 """
 from __future__ import annotations
 
@@ -159,39 +159,39 @@ def _fold_limit(p: float) -> float:
 
 
 def _knee(p: float) -> float:
-    # For large p the speed stays near 1 until it rises to 2^(1/p) within
-    # about 1/(2 p^2) of the fold; the knee is a break point of the arc
-    # integral and of the chart, so both resolve the rise.
+    # For large p the speed rises from 1 to 2^(1/p) within about 1/(2 p^2) of
+    # the fold; the chart and pi_p's integral (t = 40 in _RISE_T) break here.
     return _fold_limit(p) * math.exp(-40.0 / (p * p))
 
 
-def _fold_levels(p: float) -> int:
-    # Levels of dyadic break points toward the fold in pi_p's integral.
-    # Bisection halves the segment that ends at the fold, [knee, fold] or
-    # [0, fold] for p <= 4, about this many times anyway; starting from those
-    # halves skips evaluating the panels they replace, while each level past
-    # what bisection needs costs one extra panel.  Fewer levels suffice as p
-    # grows, because the rise at the fold adds less to the integral.
-    if p <= 4.0:
-        return 3
-    return min(4, max(0, int(math.log2(2560.0 / p))))
+# Break points of pi_p's quadrature in the speed's rise to the fold, at
+# z = fold e^(-t/p^2), by the largest p a row serves.  In t the speed is about
+# (1 + e^(-2t))^(1/p), singular at t = +-i pi/2, so GK15 wants panels that
+# widen geometrically in t away from the fold; t = 40 is the knee.  The rise
+# adds about 1/p^3 to the integral, so fewer points suffice as p grows, and up
+# to p = 4 it fills the segment.  Each row is the fewest panels found on the
+# benchmark's p lattice that keep pi_p within a few ulp of mpmath; above
+# p = 9000 the knee alone is within 9e-16.
+_RISE_T = ((4.0, (16.0, 5.4, 2.0)), (25.0, (40.0, 13.0, 5.4, 2.2)), (250.0, (40.0, 9.0, 2.1)),
+           (9000.0, (40.0, 5.0)), (INF, (40.0,)))
 
 
 def _quarter_arc_integral(p: float) -> float:
     """pi_p / 4, the arc length of the folded chart segment, for finite p > 1.
 
-    One adaptive quadrature from break points: the knee for p > 4 and, for
-    p >= 2, the dyadic points that bisection would reach toward the fold.
-    Below p = 2 the panels grade toward z = 0 instead, by a number of
-    levels that varies with p.
+    One adaptive quadrature, first cut on the two layers where the speed is
+    not smooth: its rise to the fold (``_RISE_T``) and, below p = 2, z = 0,
+    where it grows like z^a, a = p (p - 1).  GK15's error on a panel [0, h]
+    is then about a (h / 8^4.5)^(1 + a) (fitted); the points fold * 8^-k,
+    k = 1 .. K, shrink h until that is 8^-18.5 = 2e-17.
     """
     fold = _fold_limit(p)
-    start = _knee(p) if p > 4.0 else 0.0
-    points = [start]
-    if p >= 2.0:
-        for _ in range(_fold_levels(p)):
-            start = 0.5 * (start + fold)
-            points.append(start)
+    rise = next(ts for bound, ts in _RISE_T if p <= bound)
+    points = [fold * math.exp(-t / (p * p)) for t in rise]
+    if p < 2.0:
+        a = p * (p - 1.0)
+        levels = math.ceil((18.5 + math.log(a, 8.0)) / (1.0 + a) - 4.5)
+        points += [fold * 8.0**-k for k in range(1, levels + 1)]
     return integrate_adaptive(partial(_speed, p), 0.0, fold, _QUAD_TOL, points)
 
 

@@ -199,6 +199,13 @@ class TestCmdPi:
         row = dict(zip(t.column("p"), t.column("pi_p")))
         assert row[2.0] == pytest.approx(math.pi, abs=1e-9)
 
+    def test_every_printed_digit_below_two(self):
+        # Each 12-digit row equals the rounded mpmath pi_p; at p = 1.03125 the
+        # quadrature once printed 3.91690563642 for 3.91690563641.
+        fixture = json.loads((Path(__file__).parent / "data" / "reference.json").read_text())
+        expected = [(quantize(p), quantize(pi)) for p, pi in fixture["pi_grid"]]
+        assert cmd_pi(1.0, 2.0, 33).rows == expected
+
     def test_minimum_at_two(self):
         t = cmd_pi(1.2, 4.0, 29)
         ps = t.column("p")
@@ -677,4 +684,4 @@ def test_compare_cli_runs_every_subcommand():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {parser.parse_args(argv).command for argv in compare_cli.ARGVS} == set(sub.choices)
-    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 85
+    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 87

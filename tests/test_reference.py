@@ -18,7 +18,9 @@ from lpevac import lp_geometry
 from lpevac.lp_geometry import _QUAD_TOL, _Chart, _chart, _knee, _speed
 from lpevac.numerics import integrate_adaptive
 
-REL_TOL = 1e-12
+# Every row is within 4e-16 but p = 1e4, where pi_p takes two GK15 panels,
+# the knee alone, and is 5.6e-16 off; its e_p is 1.1e-15 off.
+REL_TOL = 1.5e-15
 FIXTURE = json.loads((Path(__file__).parent / "data" / "reference.json").read_text())
 ROWS = FIXTURE["values"]
 
@@ -59,10 +61,8 @@ class TestAgainstReference:
             assert abs(ch.arc(x) - ref) <= 1e-15 * ch.eighth
 
 
-@pytest.mark.parametrize("row", [row for row in ROWS if row["p"] >= 2.0], ids=lambda row: f"p={row['p']}")
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: f"p={row['p']}")
 def test_half_perimeter_to_rounding(row):
-    # With full-precision Gauss-Kronrod weights the quadrature lands within a
-    # few ulp of the mpmath pi_p; near p = 1 its 1e-12 target dominates.
     assert _rel(half_perimeter(row["p"]), row["pi"]) <= 1e-15
 
 

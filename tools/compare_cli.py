@@ -9,7 +9,7 @@ as a checkout's ``src``.  Each argv of ``ARGVS`` runs as
 working directory.  The exit status, stdout and stderr of the two runs must
 be equal byte for byte.  Every argv that differs is printed with the
 streams that differ, then a count.  The exit status is 0 if no argv
-differs, 1 if one does and 2 on a usage error.  The 2 x 85 runs take
+differs, 1 if one does and 2 on a usage error.  The 2 x 87 runs take
 about 20 s on a 2-vCPU Intel Xeon host.
 """
 from __future__ import annotations
@@ -30,7 +30,8 @@ PER_P = (
     "sigma {p}",
     "sigma {p} --format json",
 )
-TABLES = ("cost 1 45 --steps 17", "pi 1 1000 --steps 33", "profile 1.5 --steps 9")
+# pi 1 2 reads pi_p where the speed grows like z^(p (p - 1)) from z = 0
+TABLES = ("cost 1 45 --steps 17", "pi 1 1000 --steps 33", "pi 1 2 --steps 33", "profile 1.5 --steps 9")
 EDGES = (
     "verify 1.5 2 inf --grid 64",
     "verify 3 --grid 512",

@@ -10,8 +10,9 @@ folded chart segment [0, 2^(-1/p)], as ``[x, H(x)]`` pairs, and, as
 deployment for the p >= 2 of ``P_VALUES`` and the large p of
 ``AUX_ROOT_EXTRA_P``, and, as ``[p, s]`` pairs under ``axis_exit``, the
 axis deployment's exit coordinate s for the p of ``AXIS_EXIT_P``, down to
-p = 1 + 2^-52.  The tier-1 tests read only the JSON, so they need no
-mpmath.
+p = 1 + 2^-52, and, as ``[p, pi_p]`` pairs under ``pi_grid``, pi_p at the
+33 p of ``lpevac pi 1 2 --steps 33``.  The tier-1 tests read only the JSON,
+so they need no mpmath.
 
 Run from anywhere with ``python3 tools/make_reference.py``; it takes about a
 second and rewrites the fixture in place.
@@ -32,6 +33,7 @@ P_VALUES = (1.001, 1.0625, 1.5, 2.0, 3.0, 10.0, 45.0, 50.5, 100.0, 200.0, 500.0,
 ARC_POINTS = 7  # x = fold * k / 8, k = 1 .. 7
 AUX_ROOT_EXTRA_P = (1e9, 1e12, 1e15)
 AXIS_EXIT_P = (1.0 + 2.0**-52, 1.0 + 1e-15, 1.0 + 1e-12, 1.0 + 1e-9, 1.000001, 1.001, 1.0625, 1.5, 1.9, 2.0)
+PI_GRID_P = tuple(1.0 + k / 32 for k in range(33))  # the p of `pi 1 2 --steps 33`
 OUT = ROOT / "tests" / "data" / "reference.json"
 
 
@@ -87,6 +89,7 @@ def build() -> dict:
         "values": rows,
         "aux_root": aux,
         "axis_exit": axis,
+        "pi_grid": [[p, pi_ref(p)] for p in PI_GRID_P],
     }
 
 
