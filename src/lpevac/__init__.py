@@ -7,7 +7,9 @@ certification, and matching lower bounds.
 
 ``import lpevac`` loads no submodule.  A public name is imported from its
 module the first time it is read (PEP 562 ``__getattr__``), so a command
-that runs a few modules does not compile and run the others.
+that runs a few modules does not compile and run the others.  ``__all__``
+is ``__version__`` and then each module's ``__all__``; reading it imports
+every module.
 """
 
 __version__ = "0.1.0"
@@ -17,70 +19,28 @@ __version__ = "0.1.0"
 # imports anyway, and tables.
 _MODULES = ("tables", "numerics", "lp_geometry", "evacuation", "chord_arc", "lower_bound")
 
-__all__ = [
-    "__version__",
-    # numerics
-    "Tolerance",
-    "BracketError",
-    "IntegrationError",
-    "integrate_adaptive",
-    "find_root_bracketed",
-    "maximize_1d",
-    # geometry
-    "INF",
-    "DomainError",
-    "Point2",
-    "CirclePoint",
-    "validate_p",
-    "lp_norm",
-    "unit_circle_point",
-    "half_perimeter",
-    "point_at_arc_length",
-    "chord_length",
-    # evacuation
-    "Branch",
-    "AlgoParams",
-    "EvacOutcome",
-    "CriticalParams",
-    "robot_positions",
-    "separation",
-    "evac_time",
-    "simulate_exit",
-    "aux_root_equation",
-    "worst_case_params",
-    "worst_case_cost",
-    "worst_case_grid_oracle",
-    # chord / arc
-    "Direction",
-    "MonotonicityReport",
-    "tangential_chord",
-    "tangential_chord_profile",
-    "min_chord",
-    "min_chord_curve",
-    "verify_min_chord_monotone",
-    "verify_tangential_chord_monotone",
-    # lower bounds
-    "OptimalityReport",
-    "weak_lower_bound",
-    "generic_lower_bound",
-    "optimality_report",
-    # tables
-    "CurveTable",
-    "quantize",
-]
-
 
 def __getattr__(name: str):
-    if name in __all__:
+    # A public name is looked up in the modules in order, so __all__ and a
+    # name that no module exports import them all; a private name imports
+    # none.
+    if name == "__all__" or not name.startswith("_"):
         from importlib import import_module
 
+        public = ["__version__"]
         for home in _MODULES:
             module = import_module(f"{__name__}.{home}")
             if name in module.__all__:
                 value = globals()[name] = getattr(module, name)
                 return value
+            public += module.__all__
+        if name == "__all__":
+            globals()[name] = public
+            return public
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+    # once read, __all__ is a global and no longer reaches __getattr__
+    public = globals().get("__all__") or __getattr__("__all__")
+    return sorted(set(globals()) | set(public))

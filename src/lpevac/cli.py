@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import __version__
 
 if TYPE_CHECKING:
-    from .evacuation import EvacOutcome
     from .tables import CurveTable
 
 __all__ = [
@@ -290,26 +289,23 @@ def _jsonable(x):
     return x
 
 
-def _outcome_dict(outcome: EvacOutcome) -> dict:
-    return {
-        "exit_phi": outcome.exit.phi,
-        "exit": [outcome.exit.point.x, outcome.exit.point.y],
-        "tau": outcome.tau,
-        "finder_positions": [list(pt) for pt in outcome.finder_positions],
-        "separation": outcome.separation,
-        "total_cost": outcome.total_cost,
-    }
-
-
 def cmd_simulate(p: float, phi: float, exit_phi: float) -> dict:
     from .evacuation import AlgoParams, simulate_exit
     from .lp_geometry import unit_circle_point
 
     params = AlgoParams(p, phi)
-    outcome = simulate_exit(params, unit_circle_point(p, exit_phi))
-    doc = {"p": _jsonable(p), "phi": phi}
-    doc.update(_outcome_dict(outcome))
-    return doc
+    exit_point = unit_circle_point(p, exit_phi)
+    outcome = simulate_exit(params, exit_point)
+    return {
+        "p": _jsonable(p),
+        "phi": phi,
+        "exit_phi": exit_point.phi,
+        "exit": list(exit_point.point),
+        "tau": outcome.tau,
+        "finder_positions": [list(pt) for pt in outcome.finder_positions],
+        "separation": outcome.separation,
+        "total_cost": outcome.total_cost,
+    }
 
 
 def cmd_params(p: float) -> dict:
@@ -318,7 +314,7 @@ def cmd_params(p: float) -> dict:
 
     cp = worst_case_params(p)
     return {
-        "p": _jsonable(cp.p),
+        "p": _jsonable(p),
         "branch": cp.branch.value,
         "aux_root": cp.aux_root,
         "exit_coord": cp.exit_coord,

@@ -91,7 +91,6 @@ class AlgoParams(_AlgoParamsFields):
 class EvacOutcome(NamedTuple):
     """Result of one simulated exit placement."""
 
-    exit: CirclePoint
     tau: float
     finder_positions: tuple[Point2, Point2]
     separation: float
@@ -113,7 +112,6 @@ class CriticalParams(NamedTuple):
     and comes within 0.05 of 2 only from p ~ 61.5.
     """
 
-    p: float
     branch: Branch
     aux_root: Optional[float]
     exit_coord: float
@@ -169,13 +167,7 @@ def simulate_exit(params: AlgoParams, exit: CirclePoint) -> EvacOutcome:
     tau = min(ccw, total - ccw)
     positions = robot_positions(params, tau)
     sep = chord_length(params.p, *positions)
-    return EvacOutcome(
-        exit=exit,
-        tau=tau,
-        finder_positions=positions,
-        separation=sep,
-        total_cost=1.0 + tau + sep,
-    )
+    return EvacOutcome(tau, positions, sep, 1.0 + tau + sep)
 
 
 def aux_root_equation(p: float, w: float) -> float:
@@ -222,9 +214,9 @@ def worst_case_params(p: float, branch: Optional[Branch] = None) -> CriticalPara
     """
     p = validate_p(p)
     if p == 1.0:
-        return CriticalParams(p, Branch.AXIS, None, 0.2, 4.8, 1.6)
+        return CriticalParams(Branch.AXIS, None, 0.2, 4.8, 1.6)
     if math.isinf(p):
-        return CriticalParams(p, Branch.DIAGONAL, None, 1.0, 4.0, 2.0)
+        return CriticalParams(Branch.DIAGONAL, None, 1.0, 4.0, 2.0)
     if branch is None:
         branch = Branch.AXIS if p <= 2.0 else Branch.DIAGONAL
     if branch is Branch.AXIS:
@@ -235,7 +227,7 @@ def worst_case_params(p: float, branch: Optional[Branch] = None) -> CriticalPara
         if p < 2.0:
             raise DomainError("diagonal branch closed forms require p >= 2")
         w, s, explored, sep = _diagonal_branch(p)
-    return CriticalParams(p, branch, w, s, explored, sep)
+    return CriticalParams(branch, w, s, explored, sep)
 
 
 def worst_case_cost(p: float) -> float:
@@ -247,8 +239,8 @@ def worst_case_cost(p: float) -> float:
     """
     cp = worst_case_params(p)
     cost = 1.0 + 0.5 * cp.explored + cp.separation
-    if cp.p > 2.0:
-        cost = max(cost, 1.0 + half_perimeter(cp.p))
+    if cp.branch is Branch.DIAGONAL:
+        cost = max(cost, 1.0 + half_perimeter(p))
     return cost
 
 

@@ -42,7 +42,7 @@ def weak_lower_bound(p: float) -> float:
 def generic_lower_bound(p: float) -> float:
     """1 + e/2 + min_chord(e) with e the worst-case explored measure."""
     cp = worst_case_params(p)
-    return 1.0 + 0.5 * cp.explored + min_chord(cp.p, cp.explored)
+    return 1.0 + 0.5 * cp.explored + min_chord(p, cp.explored)
 
 
 def optimality_report(p: float) -> OptimalityReport:

@@ -142,13 +142,10 @@ def _speed(p: float, z: float) -> float:
         return (1.0 + (w / (1.0 - w)) ** (p - 1.0)) ** (1.0 / p)
     lz = math.log(z)
     omzp = -math.expm1(p * lz)  # 1 - z^p
+    # lg = log((w / (1 - w))^(p-1)) >= 0 as w > 1/2, so this soft-plus
+    # log(1 + exp(lg)) cannot overflow (ln 2 at a rounded lg = 0)
     lg = (p * p - p) * lz + (1.0 - p) * math.log(omzp)
-    # log(1 + exp(lg)) without overflow
-    if lg > 0.0:
-        soft = lg + math.log1p(math.exp(-lg))
-    else:
-        soft = math.log1p(math.exp(lg))
-    return math.exp(soft / p)
+    return math.exp((lg + math.log1p(math.exp(-lg))) / p)
 
 
 def _fold_limit(p: float) -> float:

@@ -23,12 +23,19 @@ def test_module_all_names_exist(name):
 
 
 def test_package_all_is_the_union_of_the_modules():
-    union = {"__version__"}
-    for name in LIBRARY_MODULES:
-        union.update(importlib.import_module(f"lpevac.{name}").__all__)
-    assert len(lpevac.__all__) == len(set(lpevac.__all__))
-    assert set(lpevac.__all__) == union
+    assert sorted(lpevac._MODULES) == sorted(LIBRARY_MODULES)
+    union = ["__version__"]
+    for name in lpevac._MODULES:
+        union += importlib.import_module(f"lpevac.{name}").__all__
+    assert lpevac.__all__ == union
+    assert len(union) == len(set(union))
     assert [n for n in lpevac.__all__ if not hasattr(lpevac, n)] == []
+
+
+def test_package_assigns_no_all():
+    # the package takes its __all__ from the modules', so no copy can drift
+    init = Path(lpevac.__file__).read_text()
+    assert _assigned(ast.parse(init), "__all__") is None
 
 
 def test_import_loads_no_submodule():
@@ -86,6 +93,34 @@ def test_other_names_are_attribute_errors(name):
     assert getattr(lpevac, name, None) is None
     with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
         getattr(lpevac, name)
+
+
+def test_unexported_public_name_imports_every_module():
+    # a name no module exports is known to be missing only once every
+    # module's __all__ has been read; a private name imports nothing
+    code = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import lpevac
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "lpevac")
+
+for name in ("_chart", "no_such_name"):
+    try:
+        getattr(lpevac, name)
+    except AttributeError as exc:
+        print(exc, loaded())
+"""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    every = ["lpevac"] + sorted(f"lpevac.{name}" for name in LIBRARY_MODULES)
+    assert done.stdout.splitlines() == [
+        "module 'lpevac' has no attribute '_chart' ['lpevac']",
+        f"module 'lpevac' has no attribute 'no_such_name' {every}",
+    ]
 
 
 def _assigned(tree: ast.Module, name: str):

@@ -30,7 +30,7 @@ from lpevac.cli import (
 )
 from lpevac.chord_arc import _uniform, tangential_chord_profile
 from lpevac.evacuation import AlgoParams, separation
-from lpevac.lp_geometry import QUARTER_PI, DomainError, _chart, half_perimeter
+from lpevac.lp_geometry import QUARTER_PI, DomainError, _chart, half_perimeter, unit_circle_point
 from lpevac.tables import CurveTable, quantize
 
 
@@ -379,6 +379,12 @@ class TestCmdSimulate:
         doc = cmd_simulate(math.inf, math.pi / 4, 5 * math.pi / 4)
         assert doc["total_cost"] == pytest.approx(5.0, abs=1e-9)
 
+    def test_exit_angle_above_two_pi_is_reduced(self):
+        # exit_phi is the angle reduced mod 2 pi, and exit its point of C_p
+        doc = cmd_simulate(1.5, math.pi / 8, 7 * math.pi / 3)
+        assert doc["exit_phi"] == pytest.approx(math.pi / 3, abs=1e-15)
+        assert doc["exit"] == list(unit_circle_point(1.5, doc["exit_phi"]).point)
+
 
 def _verify_poisoned_fails_with_nan(p, check, target, where, bad, monkeypatch, capsys):
     # verify with chord_arc's target wrapped to put bad at index where of
@@ -684,4 +690,4 @@ def test_compare_cli_runs_every_subcommand():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {parser.parse_args(argv).command for argv in compare_cli.ARGVS} == set(sub.choices)
-    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 87
+    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 91

@@ -126,15 +126,14 @@ class TestChartPoint:
 
 
 def _log_space_speed(p, z):
-    # The chart speed (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p) in log space, the
-    # form _speed takes where z^p > 1/2.
+    # The chart speed (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p) in log space.  Its
+    # soft-plus is the form _speed takes where z^p > 1/2 (lg >= 0), extended
+    # to lg < 0, which the rest of the segment reaches, without overflow.
     if z == 0.0:
         return 1.0
     lz = math.log(z)
     lg = (p * p - p) * lz + (1.0 - p) * math.log(-math.expm1(p * lz))
-    if lg > 0.0:
-        return math.exp((lg + math.log1p(math.exp(-lg))) / p)
-    return math.exp(math.log1p(math.exp(lg)) / p)
+    return math.exp((max(lg, 0.0) + math.log1p(math.exp(-abs(lg)))) / p)
 
 
 # _speed calls of one cold half_perimeter at each p of the mpmath fixture,
@@ -179,6 +178,15 @@ class TestChartSpeed:
             ref = _log_space_speed(p, z)
             assert math.isfinite(value)
             assert abs(value - ref) <= 4.0 * math.ulp(ref), z
+
+    def test_log_space_at_a_rounded_fold_with_zero_exponent(self):
+        # The rounded fold at p = 1.1875 has z^p one ulp above 1/2, so _speed
+        # takes log space, and there the rounded lg is exactly 0: the
+        # soft-plus is ln 2 and the speed 2^(1/p).
+        p = 1.1875
+        fold = _fold_limit(p)
+        assert fold**p == 0.5 + 2.0**-53
+        assert _speed(p, fold) == math.exp(math.log(2.0) / p) == _log_space_speed(p, fold)
 
     def test_square_constant_one_at_the_corner(self):
         # The square's chart is evaluated at its fold z = 1.

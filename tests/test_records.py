@@ -9,7 +9,6 @@ import pytest
 from lpevac import (
     AlgoParams,
     Branch,
-    CirclePoint,
     CriticalParams,
     CurveTable,
     Direction,
@@ -29,19 +28,13 @@ RECORDS = [
     (AlgoParams, ("p", "phi"), (1.5, 0.25)),
     (
         EvacOutcome,
-        ("exit", "tau", "finder_positions", "separation", "total_cost"),
-        (
-            CirclePoint(math.pi, Point2(-1.0, 0.0)),
-            2.0,
-            (Point2(0.0, 1.0), Point2(0.0, -1.0)),
-            2.0,
-            5.0,
-        ),
+        ("tau", "finder_positions", "separation", "total_cost"),
+        (2.0, (Point2(0.0, 1.0), Point2(0.0, -1.0)), 2.0, 5.0),
     ),
     (
         CriticalParams,
-        ("p", "branch", "aux_root", "exit_coord", "explored", "separation"),
-        (3.0, Branch.DIAGONAL, 0.2, 0.5, 4.0, 1.8),
+        ("branch", "aux_root", "exit_coord", "explored", "separation"),
+        (Branch.DIAGONAL, 0.2, 0.5, 4.0, 1.8),
     ),
     (
         MonotonicityReport,

@@ -9,8 +9,8 @@ as a checkout's ``src``.  Each argv of ``ARGVS`` runs as
 working directory.  The exit status, stdout and stderr of the two runs must
 be equal byte for byte.  Every argv that differs is printed with the
 streams that differ, then a count.  The exit status is 0 if no argv
-differs, 1 if one does and 2 on a usage error.  The 2 x 87 runs take
-about 20 s on a 2-vCPU Intel Xeon host.
+differs, 1 if one does and 2 on a usage error.  The 2 x 91 runs take
+about 16 s on a 2-vCPU Intel Xeon host.
 """
 from __future__ import annotations
 
@@ -40,6 +40,12 @@ EDGES = (
     "lchord 2 --steps 1",
     "cost 1 1 --steps 1",
     "profile 1.5 --phi pi/8 --steps 6",
+    # the rounded fold at p = 1.1875 takes the speed's log space at lg = 0
+    "verify 1.1875 --grid 64",
+    "params 1.1875",
+    # exit angles below 0 and above 2 pi, reported reduced
+    "simulate 2 0 -- -pi/4",
+    "simulate 1.5 pi/8 7pi/3",
 )
 ARGVS = (
     [command.format(p=p).split() for command in PER_P for p in P_VALUES]
