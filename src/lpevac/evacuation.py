@@ -78,7 +78,7 @@ class AlgoParams(_AlgoParamsFields):
 
     def __new__(cls, p: float, phi: float = 0.0) -> "AlgoParams":
         validate_p(p)
-        if not -1e-12 <= phi <= QUARTER_PI + 1e-12:
+        if not 0.0 <= phi <= QUARTER_PI:
             raise DomainError(f"deployment angle must lie in [0, pi/4], got {phi}")
         return super().__new__(cls, p, phi)
 

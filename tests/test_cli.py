@@ -1,7 +1,5 @@
-import argparse
 import ast
 import csv
-import importlib.util
 import json
 import math
 import subprocess
@@ -16,7 +14,6 @@ from lpevac.cli import (
     UsageError,
     _at_most,
     _grid,
-    build_parser,
     cmd_cost,
     cmd_lchord,
     cmd_pi,
@@ -678,16 +675,3 @@ def test_command_imports_only_its_modules(argv, modules):
     assert code == 0
     assert loaded == sorted(["lpevac", "lpevac.cli"] + [f"lpevac.{m}" for m in modules])
 
-
-def test_compare_cli_runs_every_subcommand():
-    # tools/compare_cli.py checks two source trees for byte-identical output
-    # over its argv list; each argv parses, and together they reach every
-    # subcommand (parsing imports no library module and starts no process)
-    path = Path(__file__).resolve().parent.parent / "tools" / "compare_cli.py"
-    spec = importlib.util.spec_from_file_location("compare_cli", path)
-    compare_cli = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare_cli)
-    parser = build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert {parser.parse_args(argv).command for argv in compare_cli.ARGVS} == set(sub.choices)
-    assert len(compare_cli.ARGVS) == len({tuple(argv) for argv in compare_cli.ARGVS}) == 91

@@ -38,6 +38,10 @@ def test_params_validation():
         AlgoParams(2.0, 1.0)  # past pi/4
     with pytest.raises(DomainError):
         AlgoParams(0.5, 0.0)
+    for phi in (-1e-13, QUARTER + 1e-13):  # no slack around [0, pi/4]
+        with pytest.raises(DomainError):
+            AlgoParams(2.0, phi)
+    assert [AlgoParams(2.0, phi).phi for phi in (-0.0, QUARTER)] == [0.0, QUARTER]
 
 
 class TestRobotPositions:
