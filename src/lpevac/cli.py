@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands expose every computation and emit CSV (default) or JSON curve
-tables suitable for downstream plotting; ``verify`` runs the numerical
-monotonicity and optimality-gap certifications and sets the exit code for
-CI use (0 all pass, 1 a check failed, 2 usage error).
+Each subcommand is its ``cmd_*`` function: the parser's destinations but
+``--format`` and ``--out`` are its parameters.  ``main`` alone writes what it
+returns: a ``CurveTable`` as a CSV (default) or JSON curve table for
+downstream plotting, a dict as one JSON document.  ``verify`` runs the
+numerical monotonicity and optimality-gap certifications; the exit status is
+1 if and only if a document's ``passed`` is false, 2 on a usage error, else 0.
 
 Angles are radians; the literals "pi", "pi/4", "2pi/3", "5pi/4", ... parse
 exactly.  The max norm is spelled "inf".
@@ -223,8 +225,8 @@ def cmd_lchord(p: float, steps: int) -> CurveTable:
     return CurveTable.build(("u", "L"), rows, _meta("lchord", p=p, steps=steps))
 
 
-def cmd_verify(p_list: Sequence[float], grid: int = 512) -> tuple[int, dict]:
-    """Run the certification suite for each p; exit status 0 iff all pass."""
+def cmd_verify(p_list: Sequence[float], grid: int = 512) -> dict:
+    """Run the certification suite for each p; ``passed`` iff all checks pass."""
     from .chord_arc import (
         min_chord,
         verify_min_chord_monotone,
@@ -263,12 +265,11 @@ def cmd_verify(p_list: Sequence[float], grid: int = 512) -> tuple[int, dict]:
                 "checks": checks,
             }
         )
-    report = {
+    return {
         "metadata": _meta("verify", grid=grid, tol=TOL, gap_tol=GAP_TOL, chord_tol=CHORD_TOL),
         "results": results,
         "passed": all_passed,
     }
-    return (0 if all_passed else 1), report
 
 
 def _check(name: str, violation: float, tol: float, **extra) -> dict:
@@ -325,17 +326,6 @@ def cmd_params(p: float) -> dict:
     }
 
 
-def _emit_table(table: CurveTable, args) -> None:
-    text = table.to_json() if args.format == "json" else table.to_csv()
-    _write_out(text, args.out)
-
-
-def _write_json(doc: dict, out: Optional[str]) -> None:
-    import json  # on demand: a CSV command never loads json
-
-    _write_out(json.dumps(doc, indent=2) + "\n", out)
-
-
 def _write_out(text: str, out: Optional[str]) -> None:
     if out:
         try:
@@ -366,80 +356,75 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("p_max", type=parse_p)
     sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=512)
     add_output_flags(sp)
-    sp.set_defaults(handler=lambda a: _emit_table(cmd_pi(a.p_min, a.p_max, a.steps), a))
+    sp.set_defaults(run=cmd_pi)
 
     sp = sub.add_parser("cost", help="worst-case cost and bounds over a p range")
     sp.add_argument("p_min", type=parse_p)
     sp.add_argument("p_max", type=parse_p)
     sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=64)
     add_output_flags(sp)
-    sp.set_defaults(
-        handler=lambda a: _emit_table(cmd_cost(a.p_min, a.p_max, a.steps), a)
-    )
+    sp.set_defaults(run=cmd_cost)
 
     sp = sub.add_parser("profile", help="evacuation time profile over search time")
     sp.add_argument("p", type=parse_p)
     sp.add_argument("--phi", type=parse_angle, default=0.0)
     sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=512)
     add_output_flags(sp)
-    sp.set_defaults(
-        handler=lambda a: _emit_table(cmd_profile(a.p, a.phi, a.steps), a)
-    )
+    sp.set_defaults(run=cmd_profile)
 
     sp = sub.add_parser("sigma", help="chord vs tangential angle at fixed arc length")
     sp.add_argument("p", type=parse_p)
     sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=512)
     sp.add_argument("--arc-len", type=float, default=None)
     add_output_flags(sp)
-    sp.set_defaults(
-        handler=lambda a: _emit_table(cmd_sigma(a.p, a.steps, a.arc_len), a)
-    )
+    sp.set_defaults(run=cmd_sigma)
 
     sp = sub.add_parser("lchord", help="minimum chord vs arc length")
     sp.add_argument("p", type=parse_p)
     sp.add_argument("--steps", type=_at_most(MAX_STEPS), default=128)
     add_output_flags(sp)
-    sp.set_defaults(handler=lambda a: _emit_table(cmd_lchord(a.p, a.steps), a))
+    sp.set_defaults(run=cmd_lchord)
 
     sp = sub.add_parser("verify", help="run the numerical certification suite")
     sp.add_argument("p_list", type=parse_p, nargs="+")
     sp.add_argument("--grid", type=_at_most(MAX_GRID), default=512)
     sp.add_argument("--out", default=None)
-
-    def run_verify(a):
-        code, report = cmd_verify(a.p_list, a.grid)
-        _write_json(report, a.out)
-        return code
-
-    sp.set_defaults(handler=run_verify)
+    sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("simulate", help="simulate one exit placement")
     sp.add_argument("p", type=parse_p)
     sp.add_argument("phi", type=parse_angle)
     sp.add_argument("exit_phi", type=parse_angle)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(
-        handler=lambda a: _write_json(cmd_simulate(a.p, a.phi, a.exit_phi), a.out)
-    )
+    sp.set_defaults(run=cmd_simulate)
 
     sp = sub.add_parser("params", help="worst-case critical quantities at one p")
     sp.add_argument("p", type=parse_p)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(handler=lambda a: _write_json(cmd_params(a.p), a.out))
+    sp.set_defaults(run=cmd_params)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    run, out, fmt = args.pop("run"), args.pop("out"), args.pop("format", None)
     from .lp_geometry import DomainError
 
     try:
-        code = args.handler(args)
+        result = run(**args)
+        if isinstance(result, dict):
+            import json  # on demand: a CSV command never loads json
+
+            text = json.dumps(result, indent=2) + "\n"
+        else:
+            text = result.to_json() if fmt == "json" else result.to_csv()
+        _write_out(text, out)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return int(code) if code else 0
+    return 1 if isinstance(result, dict) and result.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -180,7 +180,7 @@ def aux_root_equation(p: float, w: float) -> float:
     return w**p + 1.0 - 2.0 * math.exp(p * math.log1p(-w))
 
 
-def _axis_branch(p: float) -> tuple[Optional[float], float, float, float]:
+def _axis_branch(p: float) -> CriticalParams:
     # Critical data for deployment phi = 0, valid for p in (1, 2].  The exit
     # coordinate is s = ((2^p - 1)^(1/(p-1)) + 1)^(-1/p); the power 1/(p-1)
     # would amplify the rounding of 2^p - 1 near p = 1, so the inner power
@@ -189,10 +189,10 @@ def _axis_branch(p: float) -> tuple[Optional[float], float, float, float]:
     s = (math.exp(math.log1p(2.0 * math.expm1(q * math.log(2.0))) / q) + 1.0) ** (-1.0 / p)
     explored = half_perimeter(p) + 2.0 * _chart(p).arc(s)
     sep = 2.0 * _ypow(p, s)
-    return None, s, explored, sep
+    return CriticalParams(Branch.AXIS, None, s, explored, sep)
 
 
-def _diagonal_branch(p: float) -> tuple[Optional[float], float, float, float]:
+def _diagonal_branch(p: float) -> CriticalParams:
     # Critical data for deployment phi = pi/4, valid for p in [2, inf).
     # The equation is -1 at w = 0 and 1 - 2^(-p) > 0 at w = 1/2.
     w = find_root_bracketed(lambda w: aux_root_equation(p, w), 0.0, 0.5, _ROOT_TOL)
@@ -202,7 +202,7 @@ def _diagonal_branch(p: float) -> tuple[Optional[float], float, float, float]:
     s_dual = (wq / (1.0 + wq)) ** (1.0 / p)
     explored = 1.5 * half_perimeter(p) - 2.0 * _chart(p).arc(s_dual)
     sep = 2.0 ** (1.0 / p) * (s_dual + s)
-    return w, s, explored, sep
+    return CriticalParams(Branch.DIAGONAL, w, s, explored, sep)
 
 
 def worst_case_params(p: float, branch: Optional[Branch] = None) -> CriticalParams:
@@ -222,12 +222,10 @@ def worst_case_params(p: float, branch: Optional[Branch] = None) -> CriticalPara
     if branch is Branch.AXIS:
         if p > 2.0:
             raise DomainError("axis branch closed forms require p <= 2")
-        w, s, explored, sep = _axis_branch(p)
-    else:
-        if p < 2.0:
-            raise DomainError("diagonal branch closed forms require p >= 2")
-        w, s, explored, sep = _diagonal_branch(p)
-    return CriticalParams(branch, w, s, explored, sep)
+        return _axis_branch(p)
+    if p < 2.0:
+        raise DomainError("diagonal branch closed forms require p >= 2")
+    return _diagonal_branch(p)
 
 
 def worst_case_cost(p: float) -> float:

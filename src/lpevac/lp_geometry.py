@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 import threading
 from functools import partial
 from operator import mul
 from typing import NamedTuple
 
-from .numerics import Tolerance, integrate_adaptive
+from .numerics import _EPS, Tolerance, integrate_adaptive
 
 __all__ = [
     "INF",
@@ -235,7 +234,6 @@ _DCT = tuple(
     )
     for k in range(_DEG + 1)
 )
-_EPS = sys.float_info.epsilon
 # A panel is resolved when its last two coefficients times its width, a
 # bound on its error in H, fall below this fraction of the fold.
 _TAIL_TOL = 1e-15

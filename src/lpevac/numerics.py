@@ -70,12 +70,7 @@ class Tolerance(_ToleranceFields):
 
 
 class IntegrationError(RuntimeError):
-    """Quadrature did not converge; carries the best estimate and bound."""
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
+    """Quadrature did not converge; the message names the best estimate and bound."""
 
 
 class BracketError(ValueError):
@@ -141,8 +136,8 @@ def integrate_adaptive(
     Globally adaptive: the panel with the largest error estimate is bisected
     until the summed error estimate meets the target.  A panel may be split
     at most ``tol.max_iter`` times; exhausting that budget while the target
-    is still unmet raises :class:`IntegrationError` carrying the best
-    estimate and its error bound.
+    is still unmet raises :class:`IntegrationError`, whose message names the
+    best estimate and its error bound.
 
     ``points`` are break points, as in QUADPACK's ``qagp``: [a, b] is first
     cut at the distinct points strictly inside it, one panel per piece, and
@@ -169,9 +164,7 @@ def integrate_adaptive(
         if depth >= tol.max_iter or mid <= a0 or mid >= b0:
             raise IntegrationError(
                 f"no convergence after {depth} subdivision levels on "
-                f"[{a0}, {b0}] (estimate {total_est}, bound {total_err})",
-                estimate=total_est,
-                error_bound=total_err,
+                f"[{a0}, {b0}] (estimate {total_est}, bound {total_err})"
             )
         e1, r1 = _gk15(f, a0, mid)
         e2, r2 = _gk15(f, mid, b0)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import json
@@ -14,6 +15,7 @@ from lpevac.cli import (
     UsageError,
     _at_most,
     _grid,
+    build_parser,
     cmd_cost,
     cmd_lchord,
     cmd_pi,
@@ -322,14 +324,14 @@ class TestCmdLchord:
 
 class TestCmdVerify:
     def test_passes_for_good_p(self):
-        code, report = cmd_verify([1.5, 3.0], grid=96)
-        assert code == 0 and report["passed"]
+        report = cmd_verify([1.5, 3.0], grid=96)
+        assert report["passed"] is True
         meta = report["metadata"]
         assert (meta["tol"], meta["gap_tol"], meta["chord_tol"]) == ("1e-09", "0.0001", "1e-05")
 
     def test_euclidean_near_constant_profile(self):
-        code, report = cmd_verify([2.0], grid=96)
-        assert code == 0
+        report = cmd_verify([2.0], grid=96)
+        assert report["passed"] is True
         checks = {c["name"]: c for c in report["results"][0]["checks"]}
         assert checks["tangential_chord_monotone"]["passed"]
         assert checks["tangential_chord_monotone"]["max_violation"] <= 1e-6
@@ -337,8 +339,8 @@ class TestCmdVerify:
     def test_euclidean_profile_checked_at_common_tolerance(self):
         # p = 2 gets the same tolerance as every other p; its profile's
         # range is rounding (7.5e-15 at grid 256)
-        code, report = cmd_verify([2.0], 256)
-        assert code == 0
+        report = cmd_verify([2.0], 256)
+        assert report["passed"] is True
         checks = {c["name"]: c for c in report["results"][0]["checks"]}
         check = checks["tangential_chord_monotone"]
         assert check["tolerance"] == 1e-9 and check["passed"]
@@ -353,8 +355,8 @@ class TestCmdVerify:
             "optimality_report",
             lambda p: report_gap(p)._replace(gap=1e-3),
         )
-        code, report = cmd_verify([1.5], grid=96)
-        assert code == 1 and not report["passed"]
+        report = cmd_verify([1.5], grid=96)
+        assert report["passed"] is False
         failed = [c["name"] for c in report["results"][0]["checks"] if not c["passed"]]
         assert failed == ["optimality_gap"]
 
@@ -405,6 +407,20 @@ def _verify_poisoned_fails_with_nan(p, check, target, where, bad, monkeypatch, c
     failed = doc["results"][0]["checks"][check]
     assert failed["max_violation"] == "nan" and failed["passed"] is False
     assert doc["passed"] is False
+
+
+(SUBPARSERS,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+@pytest.mark.parametrize("command", SUBPARSERS)
+def test_destinations_are_the_run_functions_parameters(command):
+    # main calls run(**destinations) less --format and --out, so an option
+    # without its parameter would fail there as a TypeError; __code__, since
+    # inspect is one of the HEAVY_MODULES
+    parser = SUBPARSERS[command]
+    code = parser.get_default("run").__code__
+    dests = {action.dest for action in parser._actions} - {"help", "format", "out"}
+    assert dests == set(code.co_varnames[: code.co_argcount])
 
 
 class TestMainEntry:

@@ -36,6 +36,8 @@ EDGES = (
 ARGVS = [command.format(p=p).split() for command in PER_P for p in P_VALUES]
 ARGVS += [f"{command} --format {fmt}".split() for command in TABLES for fmt in ("csv", "json")]
 ARGVS += [command.split() for command in EDGES]
+# the parser's own text, which exits 0 through SystemExit
+ARGVS += [["--version"], ["--help"]] + [[command, "--help"] for command in dict.fromkeys(a[0] for a in ARGVS)]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
