@@ -20,11 +20,14 @@ speed, so evaluating H is one Clenshaw sum and inverting it a few Newton
 steps.  The adaptive quadrature computes one number, pi_p, independently of
 the chart: one integral whose panels start cut at break points on the two
 layers where the speed is not smooth, its rise to the fold and, below
-p = 2, its power law at z = 0.  The module-level caches of charts and of
-pi_p each hold the one p in use: every command finishes one p before it
-starts the next, so a second entry would not be read again.  Rebuilding an
-entry is deterministic and inserts take a lock, so the caches are safe
-under concurrent use.
+p = 2, its power law at z = 0.  Both evaluate the speed a panel at a time:
+``_speeds`` is its one formula, taking a whole GK15 or Chebyshev panel of
+points per call, and ``_speed`` is its one-point view, for the chart's
+Newton slopes.  The module-level caches of charts and of pi_p each hold
+the one p in use: every command finishes one p before it starts the next,
+so a second entry would not be read again.  Rebuilding an entry is
+deterministic and inserts take a lock, so the caches are safe under
+concurrent use.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import math
 import threading
 from functools import partial
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .numerics import _EPS, Tolerance, integrate_adaptive
 
@@ -124,27 +127,45 @@ def _ypow(p: float, x: float) -> float:
     return math.exp(math.log(omxp) / p)
 
 
-def _speed(p: float, z: float) -> float:
-    """l_p speed of the chart at z in [0, 1): (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p).
+def _speeds(p: float, zs: Sequence[float]) -> list[float]:
+    """l_p speeds of the chart at the points ``zs`` of [0, 1): the one speed formula.
 
-    Constant 2 for p = 1 (the diamond) and 1 for p = inf (the square).  With
-    w = z^p it is (1 + (w / (1 - w))^(p-1))^(1/p), whose powers cannot
-    overflow while w <= 1/2.  Callers stay on the folded segment, but the
-    rounded fold can have w > 1/2 (0.500017 at p = 1e12, 0.574 at 5e15),
-    and from about p = 2.6e9 that form can overflow there; so w > 1/2 takes
-    log space.  Unchecked: p must be valid and z in [0, 1).
+    The speed is (z^(p^2-p) (1-z^p)^(1-p) + 1)^(1/p), constant 2 for p = 1
+    (the diamond) and 1 for p = inf (the square).  With w = z^p it is
+    (1 + (w / (1 - w))^(p-1))^(1/p), whose powers cannot overflow while
+    w <= 1/2.  Callers stay on the folded segment, but the rounded fold can
+    have w > 1/2 (0.500017 at p = 1e12, 0.574 at 5e15), and from about
+    p = 2.6e9 that form can overflow there; so w > 1/2 takes log space.  One
+    call serves a whole GK15 or Chebyshev panel, so what depends on p alone
+    is worked out once per panel; each value is the float a one-point call
+    gives.  Unchecked: p must be valid and every z in [0, 1).
     """
     if p == INF:
-        return 1.0
-    w = z**p
-    if w <= 0.5:
-        return (1.0 + (w / (1.0 - w)) ** (p - 1.0)) ** (1.0 / p)
-    lz = math.log(z)
-    omzp = -math.expm1(p * lz)  # 1 - z^p
-    # lg = log((w / (1 - w))^(p-1)) >= 0 as w > 1/2, so this soft-plus
-    # log(1 + exp(lg)) cannot overflow (ln 2 at a rounded lg = 0)
-    lg = (p * p - p) * lz + (1.0 - p) * math.log(omzp)
-    return math.exp((lg + math.log1p(math.exp(-lg))) / p)
+        return [1.0] * len(zs)
+    pm1 = p - 1.0
+    inv_p = 1.0 / p
+    out = []
+    for z in zs:
+        w = z**p
+        if w <= 0.5:
+            out.append((1.0 + (w / (1.0 - w)) ** pm1) ** inv_p)
+            continue
+        lz = math.log(z)
+        omzp = -math.expm1(p * lz)  # 1 - z^p
+        # lg = log((w / (1 - w))^(p-1)) >= 0 as w > 1/2, so this soft-plus
+        # log(1 + exp(lg)) cannot overflow (ln 2 at a rounded lg = 0)
+        lg = (p * p - p) * lz + (1.0 - p) * math.log(omzp)
+        out.append(math.exp((lg + math.log1p(math.exp(-lg))) / p))
+    return out
+
+
+def _speed(p: float, z: float) -> float:
+    """The chart speed at one z: the one-point view of :func:`_speeds`.
+
+    For the Newton slopes of :meth:`_Chart.x_at`, which take one value at a
+    time.
+    """
+    return _speeds(p, (z,))[0]
 
 
 def _fold_limit(p: float) -> float:
@@ -188,7 +209,7 @@ def _quarter_arc_integral(p: float) -> float:
         a = p * (p - 1.0)
         levels = math.ceil((18.5 + math.log(a, 8.0)) / (1.0 + a) - 4.5)
         points += [fold * 8.0**-k for k in range(1, levels + 1)]
-    return integrate_adaptive(partial(_speed, p), 0.0, fold, _QUAD_TOL, points)
+    return integrate_adaptive(partial(_speeds, p), 0.0, fold, _QUAD_TOL, points)
 
 
 # Per-p caches of one entry each, the p in use.
@@ -248,9 +269,7 @@ def _speed_series(p: float, a: float, b: float, fold: float):
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    f = [_speed(p, b)]
-    f += [_speed(p, mid + half * t) for t in _NODES[1:_DEG]]
-    f.append(_speed(p, a))
+    f = _speeds(p, [b, *[mid + half * t for t in _NODES[1:_DEG]], a])
     # Every row but the first sums to zero, so subtracting f[0] changes no
     # coefficient mathematically and makes a constant speed exact.
     f0 = f[0]

@@ -10,16 +10,19 @@ module of the package:
 
 The Gauss-Kronrod nodes and weights are QUADPACK's ``qk15`` constants,
 given to 33 digits so that the rule is exact to rounding on polynomials of
-degree up to 22 (K15) and 13 (G7).  All routines are pure functions of their
-inputs and hold no shared mutable state, so they are safe to call
-concurrently.
+degree up to 22 (K15) and 13 (G7).  ``integrate_adaptive`` takes a panel
+integrand: one call receives the 15 abscissae of one GK15 panel and returns
+their values, so an integrand pays its per-call set-up once per panel, not
+once per node.  The other two take a scalar function.  All routines are pure
+functions of their inputs and hold no shared mutable state, so they are safe
+to call concurrently.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from operator import mul
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Tolerance",
@@ -114,24 +117,29 @@ _K15 = _WGK[:7] + _WGK[::-1]
 _G7 = _WG[:3] + _WG[::-1]
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (K15 estimate, |K15 - G7|)."""
+def _gk15(f: Callable[[list[float]], Sequence[float]], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod panel, one call of f: returns (K15 estimate, |K15 - G7|)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fv = [f(c + h * x) for x in _NODES]
+    fv = f([c + h * x for x in _NODES])
     resk = sum(map(mul, _K15, fv))
     resg = sum(map(mul, _G7, fv[1::2]))
     return resk * h, abs(resk - resg) * abs(h)
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
+    f: Callable[[list[float]], Sequence[float]],
     a: float,
     b: float,
     tol: Tolerance,
     points: Iterable[float] = (),
 ) -> float:
     """Integrate f over [a, b] to max(abs_tol, rel_tol * |I|).
+
+    ``f`` is a panel integrand: it is called once per GK15 panel with the
+    list of that panel's 15 abscissae, in ``_NODES`` order from its left end
+    to its right, and returns a sequence of the integrand's values there, in
+    the same order.  ``lambda xs: [g(x) for x in xs]`` integrates a scalar g.
 
     Globally adaptive: the panel with the largest error estimate is bisected
     until the summed error estimate meets the target.  A panel may be split

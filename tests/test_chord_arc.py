@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from lpevac import (
     verify_tangential_chord_monotone,
     worst_case_params,
 )
-from lpevac.lp_geometry import _chart, _point_at_arc_from_zero, _speed, _ypow
+from lpevac.lp_geometry import _chart, _point_at_arc_from_zero, _speeds, _ypow
 
 QUARTER = math.pi / 4
 TWO_PI = 2.0 * math.pi
@@ -531,9 +532,9 @@ def _arc_to_q1_point(p, x):
     y = _ypow(p, x)
     fold = 2.0 ** (-1.0 / p)
     if y <= fold:
-        return integrate_adaptive(lambda t: _speed(p, t), 0.0, y, QUAD)
+        return integrate_adaptive(partial(_speeds, p), 0.0, y, QUAD)
     return 0.5 * half_perimeter(p) - integrate_adaptive(
-        lambda t: _speed(p, t), 0.0, x, QUAD
+        partial(_speeds, p), 0.0, x, QUAD
     )
 
 
@@ -551,7 +552,7 @@ def _point_at_direct(p, lam):
     k = min(int(lam / (hp / 2.0)), 3)
     rem = lam - k * hp / 2.0
     fold = 2.0 ** (-1.0 / p)
-    speed_int = lambda y: integrate_adaptive(lambda t: _speed(p, t), 0.0, y, QUAD)
+    speed_int = lambda y: integrate_adaptive(partial(_speeds, p), 0.0, y, QUAD)
     if rem <= hp / 4.0:
         y = find_root_bracketed(lambda y: speed_int(y) - rem, 0.0, fold, QUAD)
         bx, by = _ypow(p, y), y

@@ -27,6 +27,7 @@ from lpevac.lp_geometry import (
     _knee,
     _point_at_arc_from_zero,
     _speed,
+    _speeds,
     _ypow,
 )
 from lpevac.numerics import integrate_adaptive
@@ -136,10 +137,11 @@ def _log_space_speed(p, z):
     return math.exp((max(lg, 0.0) + math.log1p(math.exp(-abs(lg)))) / p)
 
 
-# _speed calls of one cold half_perimeter at each p of the mpmath fixture,
-# 15 per GK15 panel.  They pin the quadrature's break points (on the rise to
-# the fold and, below p = 2, toward z = 0) plus the bisection that follows,
-# and that every evaluation goes through the one speed formula.
+# Speed evaluations of one cold half_perimeter at each p of the mpmath
+# fixture, counted as the abscissae passed to _speeds, 15 per GK15 panel.
+# They pin the quadrature's break points (on the rise to the fold and, below
+# p = 2, toward z = 0) plus the bisection that follows, and that every
+# evaluation goes through the one speed formula.
 SPEED_EVALS_PER_HALF_PERIMETER = {
     1.001: 375,
     1.0625: 510,
@@ -161,13 +163,18 @@ class TestChartSpeed:
     def test_unit_speed_at_pole_p2(self):
         assert _speed(2.0, 0.0) == 1.0
 
-    @pytest.mark.parametrize("p", list(SPEED_EVALS_PER_HALF_PERIMETER))
+    # 1.1875: the last z is the rounded fold, where z^p is one ulp above 1/2,
+    # so the one panel takes both branches of _speeds.
+    @pytest.mark.parametrize("p", [*SPEED_EVALS_PER_HALF_PERIMETER, 1.1875])
     def test_matches_log_space_form_on_the_folded_segment(self, p):
         fold = _fold_limit(p)
-        for k in range(200):
-            z = fold * k / 199
+        zs = [fold * k / 199 for k in range(200)]
+        values = _speeds(p, zs)
+        assert len(values) == len(zs)
+        for z, value in zip(zs, values):
             ref = _log_space_speed(p, z)
-            assert abs(_speed(p, z) - ref) <= 4.0 * math.ulp(ref), z
+            assert abs(value - ref) <= 4.0 * math.ulp(ref), z
+            assert value == _speed(p, z), z
 
     @pytest.mark.parametrize("p", [3.0, 1e4])
     def test_finite_beyond_the_fold(self, p):
@@ -195,13 +202,13 @@ class TestChartSpeed:
     @pytest.mark.parametrize("p, calls", list(SPEED_EVALS_PER_HALF_PERIMETER.items()))
     def test_half_perimeter_speed_evaluations(self, p, calls, monkeypatch):
         count = [0]
-        speed = lp_geometry._speed
+        speeds = lp_geometry._speeds
 
-        def counted(p, z):
-            count[0] += 1
-            return speed(p, z)
+        def counted(p, zs):
+            count[0] += len(zs)
+            return speeds(p, zs)
 
-        monkeypatch.setattr(lp_geometry, "_speed", counted)
+        monkeypatch.setattr(lp_geometry, "_speeds", counted)
         monkeypatch.setattr(lp_geometry, "_PERIMETER_CACHE", {})
         half_perimeter(p)
         assert count[0] == calls
@@ -280,7 +287,7 @@ def _count_gk15(monkeypatch):
 def _head_tail_quarter_arc(p):
     # pi_p / 4 before break points: for p > 4 the integrals over [0, knee]
     # and [knee, fold], each bisected from one panel to its own target.
-    speed = partial(lp_geometry._speed, p)
+    speed = partial(lp_geometry._speeds, p)
     fold, knee = _fold_limit(p), _knee(p)
     if p <= 4.0 or fold <= knee:
         return integrate_adaptive(speed, 0.0, fold, _QUAD_TOL, points=())

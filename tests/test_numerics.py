@@ -19,6 +19,11 @@ from lpevac.numerics import _gk15
 TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-10, max_iter=60)
 
 
+def _panel(g):
+    # The panel integrand of a scalar g: g mapped over a panel's abscissae.
+    return lambda xs: [g(x) for x in xs]
+
+
 class TestTolerance:
     def test_defaults(self):
         t = Tolerance()
@@ -41,19 +46,19 @@ class TestGK15Panel:
 
     @pytest.mark.parametrize("d", range(23))
     def test_kronrod_exact_to_degree_22(self, d):
-        est, _ = _gk15(lambda x: x**d, -1.0, 1.0)
+        est, _ = _gk15(_panel(lambda x: x**d), -1.0, 1.0)
         assert abs(est - self._moment(d)) <= 4.0 * math.ulp(2.0 / (d + 1))
 
     @pytest.mark.parametrize("d", range(14))
     def test_gauss_exact_to_degree_13(self, d):
         # The error estimate is |K15 - G7|; both rules are exact here.
-        _, err = _gk15(lambda x: x**d, -1.0, 1.0)
+        _, err = _gk15(_panel(lambda x: x**d), -1.0, 1.0)
         assert err <= 4.0 * math.ulp(2.0 / (d + 1))
 
     def test_exactness_ends_where_the_theory_says(self):
-        k24, _ = _gk15(lambda x: x**24, -1.0, 1.0)
+        k24, _ = _gk15(_panel(lambda x: x**24), -1.0, 1.0)
         assert abs(k24 - self._moment(24)) > 1e-10
-        _, err14 = _gk15(lambda x: x**14, -1.0, 1.0)
+        _, err14 = _gk15(_panel(lambda x: x**14), -1.0, 1.0)
         assert err14 > 1e-6
 
 
@@ -67,10 +72,10 @@ def _assert_message_bounds_the_error(error, exact):
 
 class TestIntegrateAdaptive:
     def test_constant(self):
-        assert integrate_adaptive(lambda x: 1.0, 0.0, 2.0, TOL) == pytest.approx(2.0, abs=1e-12)
+        assert integrate_adaptive(_panel(lambda x: 1.0), 0.0, 2.0, TOL) == pytest.approx(2.0, abs=1e-12)
 
     def test_linear(self):
-        assert integrate_adaptive(lambda x: x, 0.0, 1.0, TOL) == pytest.approx(0.5, abs=1e-12)
+        assert integrate_adaptive(_panel(lambda x: x), 0.0, 1.0, TOL) == pytest.approx(0.5, abs=1e-12)
 
     def test_euclidean_quarter_arc(self):
         # chart speed of the p=2 circle over the folded segment gives pi/4
@@ -79,28 +84,53 @@ class TestIntegrateAdaptive:
         def f(z):
             return (z ** (p * p - p) * (1 - z**p) ** (1 - p) + 1.0) ** (1.0 / p)
 
-        val = integrate_adaptive(f, 0.0, 2 ** (-0.5), TOL)
+        val = integrate_adaptive(_panel(f), 0.0, 2 ** (-0.5), TOL)
         assert val == pytest.approx(math.pi / 4, abs=1e-10)
 
     def test_empty_interval(self):
-        assert integrate_adaptive(math.sin, 1.3, 1.3, TOL) == 0.0
+        assert integrate_adaptive(_panel(math.sin), 1.3, 1.3, TOL) == 0.0
 
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
-            integrate_adaptive(math.sin, 1.0, 0.0, TOL)
+            integrate_adaptive(_panel(math.sin), 1.0, 0.0, TOL)
 
     def test_depth_exhaustion_carries_estimate(self):
         tiny_budget = Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=2)
         with pytest.raises(IntegrationError) as exc:
-            integrate_adaptive(lambda x: math.sin(40.0 * x) ** 2, 0.0, 3.0, tiny_budget)
+            integrate_adaptive(_panel(lambda x: math.sin(40.0 * x) ** 2), 0.0, 3.0, tiny_budget)
         _assert_message_bounds_the_error(exc.value, 1.5 - math.sin(240.0) / 160.0)
 
     @given(b=st.floats(min_value=0.2, max_value=2.8))
     def test_additive_on_smooth_integrand(self, b):
-        f = lambda x: math.exp(-x) * math.cos(3.0 * x)
+        f = _panel(lambda x: math.exp(-x) * math.cos(3.0 * x))
         whole = integrate_adaptive(f, 0.0, 3.0, TOL)
         split = integrate_adaptive(f, 0.0, b, TOL) + integrate_adaptive(f, b, 3.0, TOL)
         assert abs(whole - split) <= 2.0 * TOL.abs_tol
+
+    def test_calls_f_once_per_panel_with_its_nodes(self, monkeypatch):
+        # The panel contract: one call of f per GK15 panel, given the 15
+        # abscissae of _NODES mapped onto that panel, in that order.
+        panels = []
+        gk15 = numerics._gk15
+
+        def recorded(f, a, b):
+            panels.append((a, b))
+            return gk15(f, a, b)
+
+        monkeypatch.setattr(numerics, "_gk15", recorded)
+        calls = []
+
+        def f(xs):
+            calls.append(list(xs))
+            return [math.sin(40.0 * x) ** 2 for x in xs]
+
+        integrate_adaptive(f, 0.0, 3.0, TOL, points=[1.0, 2.0])
+        assert len(panels) > 3
+        assert len(calls) == len(panels)
+        for xs, (a, b) in zip(calls, panels):
+            c, h = 0.5 * (a + b), 0.5 * (b - a)
+            assert xs == [c + h * x for x in numerics._NODES]
+            assert a < xs[0] < xs[7] == c < xs[-1] < b
 
 
 def _bisection_from_one_panel(f, a, b, tol):
@@ -135,11 +165,11 @@ def _counted(monkeypatch):
 
 
 INTEGRANDS = [
-    (math.sin, 0.0, 3.0),
-    (lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 3.0),
-    (math.sqrt, 0.0, 2.0),
-    (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
-    (lambda z: (z**6 * (1.0 - z**3) ** -2.0 + 1.0) ** (1.0 / 3.0), 0.0, 2.0 ** (-1.0 / 3.0)),
+    (_panel(math.sin), 0.0, 3.0),
+    (_panel(lambda x: math.exp(-x) * math.cos(3.0 * x)), 0.0, 3.0),
+    (_panel(math.sqrt), 0.0, 2.0),
+    (_panel(lambda x: 1.0 / (1.0 + 25.0 * x * x)), -1.0, 1.0),
+    (_panel(lambda z: (z**6 * (1.0 - z**3) ** -2.0 + 1.0) ** (1.0 / 3.0)), 0.0, 2.0 ** (-1.0 / 3.0)),
 ]
 
 
@@ -176,7 +206,7 @@ class TestBreakPoints:
         # |x - c| is linear on either side of c: GK15 is exact on each piece,
         # so no panel is bisected.
         calls = _counted(monkeypatch)
-        f = lambda x: abs(x - c)
+        f = _panel(lambda x: abs(x - c))
         value = integrate_adaptive(f, 0.0, 3.0, TOL, points=[c])
         assert calls[0] == 2
         exact = 0.5 * c * c + 0.5 * (3.0 - c) ** 2
@@ -184,14 +214,14 @@ class TestBreakPoints:
 
     def test_kink_without_the_break_point_needs_bisection(self, monkeypatch):
         calls = _counted(monkeypatch)
-        integrate_adaptive(lambda x: abs(x - 1.3), 0.0, 3.0, TOL)
+        integrate_adaptive(_panel(lambda x: abs(x - 1.3)), 0.0, 3.0, TOL)
         assert calls[0] > 2
 
     def test_pieces_share_one_error_target(self, monkeypatch):
         # Break points only seed the heap: the bisection that follows stops
         # on the summed estimate, so an unresolved piece is still bisected.
         calls = _counted(monkeypatch)
-        f = lambda x: math.sin(40.0 * x) ** 2
+        f = _panel(lambda x: math.sin(40.0 * x) ** 2)
         value = integrate_adaptive(f, 0.0, 3.0, TOL, points=[1.0, 2.0])
         assert calls[0] > 3
         assert abs(value - (1.5 - math.sin(240.0) / 160.0)) <= 1e-9
@@ -200,7 +230,7 @@ class TestBreakPoints:
         tiny_budget = Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=2)
         with pytest.raises(IntegrationError) as exc:
             integrate_adaptive(
-                lambda x: math.sin(40.0 * x) ** 2, 0.0, 3.0, tiny_budget, points=[1.0, 2.0]
+                _panel(lambda x: math.sin(40.0 * x) ** 2), 0.0, 3.0, tiny_budget, points=[1.0, 2.0]
             )
         _assert_message_bounds_the_error(exc.value, 1.5 - math.sin(240.0) / 160.0)
 

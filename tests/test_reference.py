@@ -15,7 +15,7 @@ import pytest
 
 from lpevac import Branch, half_perimeter, min_chord, worst_case_cost, worst_case_params
 from lpevac import lp_geometry
-from lpevac.lp_geometry import _QUAD_TOL, _Chart, _chart, _knee, _speed
+from lpevac.lp_geometry import _QUAD_TOL, _Chart, _chart, _knee, _speeds
 from lpevac.numerics import integrate_adaptive
 
 # Every row is within 4e-16 but p = 1e4, where pi_p takes two GK15 panels,
@@ -88,7 +88,7 @@ class TestChart:
         ch = _chart(p)
         for k in range(1, 65):
             x = ch.fold * k / 65
-            quad = integrate_adaptive(partial(_speed, p), 0.0, x, _QUAD_TOL, [_knee(p)])
+            quad = integrate_adaptive(partial(_speeds, p), 0.0, x, _QUAD_TOL, [_knee(p)])
             assert abs(ch.arc(x) - quad) <= max(_QUAD_TOL.abs_tol, _QUAD_TOL.rel_tol * quad)
 
     def test_x_at_inverts_arc(self, p):
@@ -99,16 +99,17 @@ class TestChart:
 
     def test_build_evaluates_speed_at_most_4096_times(self, p, monkeypatch):
         # The 2048-cell Hermite table it replaced took 32,769 evaluations.
-        calls = []
-        speed = lp_geometry._speed
+        # Each abscissa given to the one speed formula is one evaluation.
+        evals = []
+        speeds = lp_geometry._speeds
 
-        def counted(p, z):
-            calls.append(z)
-            return speed(p, z)
+        def counted(p, zs):
+            evals.extend(zs)
+            return speeds(p, zs)
 
-        monkeypatch.setattr(lp_geometry, "_speed", counted)
+        monkeypatch.setattr(lp_geometry, "_speeds", counted)
         _Chart(p)
-        assert 0 < len(calls) <= 4096
+        assert 0 < len(evals) <= 4096
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf])
