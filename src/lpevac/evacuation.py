@@ -126,16 +126,23 @@ def _total(p: float) -> float:
 def robot_positions(params: AlgoParams, tau: float) -> tuple[Point2, Point2]:
     """Positions after parallel search time tau in [0, pi_p].
 
-    First the counter-clockwise robot, then the clockwise one; for the two
-    canonical deployments they are mutual reflections (across y=0 for the
-    axis, across y=x for the diagonal).
+    First the counter-clockwise robot, then the clockwise one: the points at
+    lam0 + r and lam0 - r, with r the exact remainder of tau after n quarter
+    perimeters, turned n quarter turns forward and back.  At tau = pi_p
+    (r = 0, n = 2) they are one point for every phi; for the axis deployment
+    they are exact reflections across y=0, for the diagonal one across y=x
+    to a few ulps.
     """
-    half = 0.5 * _total(params.p)
-    if not -1e-9 <= tau <= half + 1e-9:
-        raise DomainError(f"search time {tau} outside [0, {half}]")
+    quarter = 2.0 * _chart(params.p).eighth
+    if not -1e-9 <= tau <= 2.0 * quarter + 1e-9:
+        raise DomainError(f"search time {tau} outside [0, {2.0 * quarter}]")
     lam0 = _arc_from_zero(params.p, params.phi)
-    ccw = _point_at_arc_from_zero(params.p, lam0 + tau)
-    cw = _point_at_arc_from_zero(params.p, lam0 - tau)
+    r = math.remainder(tau, quarter)
+    ccw = _point_at_arc_from_zero(params.p, lam0 + r)
+    cw = _point_at_arc_from_zero(params.p, lam0 - r)
+    for _ in range(round((tau - r) / quarter)):
+        ccw = Point2(-ccw.y, ccw.x)
+        cw = Point2(cw.y, -cw.x)
     return ccw, cw
 
 
@@ -161,10 +168,7 @@ def simulate_exit(params: AlgoParams, exit: CirclePoint) -> EvacOutcome:
     total = _total(params.p)
     lam0 = _arc_from_zero(params.p, params.phi)
     lam_exit = _arc_from_zero(params.p, exit.phi)
-    ccw = math.fmod(lam_exit - lam0, total)
-    if ccw < 0.0:
-        ccw += total
-    tau = min(ccw, total - ccw)
+    tau = abs(math.remainder(lam_exit - lam0, total))
     positions = robot_positions(params, tau)
     sep = chord_length(params.p, *positions)
     return EvacOutcome(tau, positions, sep, 1.0 + tau + sep)

@@ -428,41 +428,31 @@ def _chart(p: float) -> _Chart:
 
 
 def _arc_from_zero(p: float, phi: float) -> float:
-    """Arc length along C_p from angle 0 to angle phi (reduced mod 2*pi)."""
+    """Arc length along C_p from angle 0 to angle phi (reduced mod 2*pi).
+
+    k quarter turns and the signed arc to the exact remainder t = phi - k pi/2
+    in [-pi/4, pi/4], read from the chart at |y|; t = phi on [0, pi/4]."""
     phi = _reduce_angle(phi)
     ch = _chart(p)
-    k = min(int(phi / HALF_PI), 3)
-    t = phi - k * HALF_PI
-    # The point of C_p at angle t is (c, s) / n; the smaller of its
-    # coordinates lies in [0, fold limit].
+    t = math.remainder(phi, HALF_PI)
     c, s = math.cos(t), math.sin(t)
-    n = lp_norm(p, (c, s))
-    if t <= QUARTER_PI:
-        lam_q = ch.arc(min(s / n, ch.fold))
-    else:
-        lam_q = 2.0 * ch.eighth - ch.arc(min(c / n, ch.fold))
-    return k * 2.0 * ch.eighth + lam_q
+    lam_q = ch.arc(min(abs(s) / lp_norm(p, (c, s)), ch.fold))
+    return round((phi - t) / HALF_PI) * 2.0 * ch.eighth + math.copysign(lam_q, t)
 
 
 def _point_at_arc_from_zero(p: float, lam: float) -> Point2:
     """Point of C_p at arc length ``lam`` (counter-clockwise from (1, 0)).
 
-    A point of the first quadrant turned k times by (x, y) -> (-y, x)."""
+    The point at the exact remainder rem = lam - 2 k eighth in [-eighth, eighth],
+    with y < 0 for rem < 0, turned k times by (x, y) -> (-y, x): -lam mirrors lam."""
     ch = _chart(p)
-    total = 8.0 * ch.eighth
-    lam = math.fmod(lam, total)
-    if lam < 0.0:
-        lam += total
     quadrant = 2.0 * ch.eighth
-    k = min(int(lam / quadrant), 3)
-    rem = lam - k * quadrant
-    if rem <= ch.eighth:
-        y = ch.x_at(rem)
-        x = _ypow(ch.p, y)
-    else:
-        x = ch.x_at(quadrant - rem)
-        y = _ypow(ch.p, x)
-    for _ in range(k):
+    rem = math.remainder(lam, quadrant)
+    y = ch.x_at(abs(rem))
+    x = _ypow(ch.p, y)
+    if rem < 0.0:
+        y = -y
+    for _ in range(round((lam - rem) / quadrant) % 4):
         x, y = -y, x
     return Point2(x, y)
 

@@ -1,7 +1,7 @@
 """Self-contained 1-D numerical kernels.
 
-Three primitives with explicit tolerance contracts, used by every other
-module of the package:
+Three primitives with explicit tolerance contracts, used by
+``lp_geometry`` and ``evacuation``:
 
 * ``integrate_adaptive``  globally adaptive Gauss-Kronrod (G7, K15) quadrature
                           from optional break points,

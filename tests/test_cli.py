@@ -254,13 +254,17 @@ class TestCmdProfile:
 
     @pytest.mark.parametrize("p", [1.0, 1.001, 1.5, 2.0, 3.0, 45.0, math.inf])
     @pytest.mark.parametrize(
-        "phi", [0.0, QUARTER_PI / 2, QUARTER_PI], ids=["0", "pi/8", "pi/4"]
+        "phi",
+        [0.0, QUARTER_PI / 2, QUARTER_PI, 0.20033074435531825, 0.17966942844053418, 0.3315295832022863],
+        ids=["0", "pi/8", "pi/4", "0.20033074435531825", "0.17966942844053418", "0.3315295832022863"],
     )
     def test_robots_meet_at_the_last_row(self, p, phi):
         # tau runs to the chart's pi_p, the arc length the robots are placed
         # by; the quadrature pi_p differs from it by up to 1e-13, and
         # pi_p * i / (steps - 1) at i = steps - 1 misses it by an ulp for
-        # some steps
+        # some steps.  At the last three phi the rounded sums lam0 +- pi_p
+        # place two points an ulp apart, so the robots meet only if pi_p is
+        # placed as two exact quarter turns.
         pi_p = quantize(4.0 * _chart(p).eighth)
         for steps in range(2, 65):
             tau, delta, _ = cmd_profile(p, phi, steps).rows[-1]

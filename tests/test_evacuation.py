@@ -70,8 +70,7 @@ class TestRobotPositions:
     def test_mirror_symmetry_axis(self, p, frac):
         tau = frac * half_perimeter(p)
         a, b = robot_positions(AlgoParams(p, 0.0), tau)
-        assert a.x == pytest.approx(b.x, abs=1e-9)
-        assert a.y == pytest.approx(-b.y, abs=1e-9)
+        assert a.x == b.x and a.y == -b.y
 
     @given(
         p=st.sampled_from([1.0, 1.5, 2.0, 4.0, INF]),

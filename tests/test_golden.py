@@ -25,7 +25,7 @@ def test_argvs_reach_every_subcommand_format_and_exit_status():
     argvs = [run["argv"] for run in MANIFEST["runs"]]
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert {argv[0] for argv in argvs} == set(sub.choices) | PARSER_TEXT
-    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 107
+    assert len(argvs) == len({tuple(argv) for argv in argvs}) == 108
     assert {argv[i + 1] for argv in argvs for i, a in enumerate(argv) if a == "--format"} == {"csv", "json"}
     assert {run["exit"] for run in MANIFEST["runs"]} == {0, 2}
 

@@ -353,6 +353,12 @@ class TestArcLength:
         top = _arc_from_zero(1.0, 3 * math.pi / 4) - _arc_from_zero(1.0, math.pi / 4)
         assert top == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [1e-12, 5e-13, 1e-300])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_negative_arc_places_the_mirror_point(self, p, x):
+        a = _point_at_arc_from_zero(p, x)
+        assert _point_at_arc_from_zero(p, -x) == Point2(a.x, -a.y)
+
     @pytest.mark.parametrize("p", [1.0, 1.4, 2.0, 5.0, INF])
     def test_eighths_balance(self, p):
         # reflection across y=x maps one eighth onto the other
@@ -410,11 +416,10 @@ class TestPointAtArcLength:
         assert lp_norm(p, cp.point) == pytest.approx(1.0, abs=1e-15)
 
     def test_angle_that_rounds_to_a_full_turn_is_zero(self):
-        # one ulp below the full lap at p = 4 the point lies below the x axis
-        # by less than half an ulp of 2*pi, so 2*pi plus its angle rounds to
-        # 2*pi; the reduced angle is 0
-        length = math.nextafter(8.0 * _chart(4.0).eighth, 0.0)
-        cp = point_at_arc_length(4.0, 0.0, length)
+        # a length of -1e-17 (inside the accepted -1e-9 slack) puts the point
+        # at p = 4 below the x axis by less than half an ulp of 2*pi, so
+        # 2*pi plus its angle rounds to 2*pi; the reduced angle is 0
+        cp = point_at_arc_length(4.0, 0.0, -1e-17)
         x, y = cp.point
         assert y < 0.0 and math.atan2(y, x) + TWO_PI == TWO_PI
         assert cp.phi == 0.0

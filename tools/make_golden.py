@@ -26,12 +26,14 @@ PER_P = ("verify {p} --grid 256", "params {p}", "simulate {p} pi/4 pi", "lchord 
 # pi 1 2 reads pi_p where the speed grows like z^(p (p - 1)) from z = 0
 TABLES = ("cost 1 45 --steps 17", "pi 1 1000 --steps 33", "pi 1 2 --steps 33", "profile 1.5 --steps 9")
 # At p = 1.1875 the rounded fold takes the speed's log space at lg = 0; simulate reduces exit
-# angles below 0 and above 2 pi.  The last six are usage errors, the last two found by argparse.
+# angles below 0 and above 2 pi; sigma's arc of 1e-300 straddles the x axis at theta = 0, where
+# its two ends are mirror points.  The last six are usage errors, the last two found by argparse.
 EDGES = (
     "verify 1.5 2 inf --grid 64", "verify 3 --grid 512", "verify 45 --grid 1100", "sigma 2 --steps 1",
     "lchord 2 --steps 1", "cost 1 1 --steps 1", "profile 1.5 --phi pi/8 --steps 6", "verify 1.1875 --grid 64",
-    "params 1.1875", "simulate 2 0 -- -pi/4", "simulate 1.5 pi/8 7pi/3", "pi 3 1", "verify 2 --grid 63",
-    "sigma 2 --arc-len 0", "profile 2 --phi=-1e-13 --steps 2", "simulate 2 0 nan", "pi 2 3 --steps 100001",
+    "params 1.1875", "simulate 2 0 -- -pi/4", "simulate 1.5 pi/8 7pi/3", "sigma 2 --arc-len 1e-300 --steps 3",
+    "pi 3 1", "verify 2 --grid 63", "sigma 2 --arc-len 0", "profile 2 --phi=-1e-13 --steps 2",
+    "simulate 2 0 nan", "pi 2 3 --steps 100001",
 )
 ARGVS = [command.format(p=p).split() for command in PER_P for p in P_VALUES]
 ARGVS += [f"{command} --format {fmt}".split() for command in TABLES for fmt in ("csv", "json")]
