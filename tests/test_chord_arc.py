@@ -310,12 +310,16 @@ class TestVerifyMinChordMonotone:
         with pytest.raises(DomainError):
             verify_min_chord_monotone(2.0, 32, 1e-9)
 
-    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 2.0, INF])
     def test_lemma_sees_one_interior_drop(self, p, monkeypatch):
         # Lower by 1e-6 the lattice chord at midpoint E / 2 of the shortest
-        # grid arc length.  The row stays above its end chord, so the least
-        # chord per arc length, and the curve, do not move: only the lemma
-        # check sees it.  Grid 64: 630 cells, 631 midpoints per arc length.
+        # grid arc length.  At p = 1.5 and 3 the row stays above its end
+        # chord, so the least chord per arc length, and the curve, do not
+        # move: only the lemma check sees it.  At p = 2 (a hypot row, which
+        # skips the sort test) and inf (a max row, which takes it) the row is
+        # constant there up to rounding, and the lowered chord makes a step of
+        # 1e-6 that the sorted early return must not hide.
+        # Grid 64: 630 cells, 631 midpoints per arc length.
         import lpevac.chord_arc as chord_arc
 
         rows = [0]
@@ -384,8 +388,45 @@ class TestVerifyMinChordMonotone:
             assert math.isnan(_largest_drop(values))
         assert math.isnan(_largest_drop([INF, 2.0, 1.0], increasing=False))
 
+    @pytest.mark.parametrize("try_sorted", [True, False])
+    def test_largest_drop_is_the_plain_scan(self, try_sorted):
+        # Bit for bit the scan without the sorted early return, in both
+        # directions, on each row and its reverse.
+        from operator import sub
 
-KERNEL_P = (1.0, 1.0 + 1e-7, 1.001, 1.5, 2.0, 3.7, 20.0, 1e4, 1e17, INF)
+        from lpevac.chord_arc import _largest_drop, _lattice_chords, _quarter_turn_lattice
+
+        def scan(values, increasing):
+            a, b = (values, values[1:]) if increasing else (values[1:], values)
+            return max(0.0, max(map(sub, a, b), default=0.0))
+
+        rng = random.Random(3007)
+        rising = sorted(rng.uniform(0.0, 2.0) for _ in range(300))
+        xs, ys = _quarter_turn_lattice(2.0, 630, 1)
+        euclid = _lattice_chords(2.0, xs, ys, 1260, 1890, 1, 20)  # grid 64, row 1
+        assert len(set(euclid)) > 1 and euclid != sorted(euclid)
+        assert euclid != sorted(euclid, reverse=True)
+        rows = [
+            [1.0, 2.0, 3.0], rising,  # strictly monotone
+            [1.0, 1.0, 2.0, 2.0, 2.0, 3.0], [0.5] * 5,  # equal runs
+            [0.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [-0.0, 0.0, 1.0, 1.0],  # signed zeros
+            euclid,  # a p = 2 row, constant up to rounding
+            [0.5], [0.5, 0.25], [0.25, 0.25],  # lengths 1 and 2
+            [0.0, 1.0, 2.0, 1.5, 3.0], rising[:150] + [rising[149] - 1e-6] + rising[151:],
+        ]
+        for row in rows:
+            for values in (row, row[::-1]):
+                for increasing in (True, False):
+                    got = _largest_drop(values, increasing, try_sorted)
+                    assert got.hex() == scan(values, increasing).hex(), (values, increasing)
+
+
+# 2 - 1e-12 and 2 + 1e-12 take the generic branch right beside p == 2; at
+# p = 1e300 every ratio b / a below 1 raised to p underflows to 0.0
+KERNEL_P = (
+    1.0, 1.0 + 1e-7, 1.001, 1.5, 2.0 - 1e-12, 2.0, 2.0 + 1e-12, 3.7, 20.0, 1e4,
+    1e17, 1e300, INF,
+)
 ORACLE_P = (1.001, 1.5, 2.0, 3.0, 45.0, 1e4, INF)
 
 
