@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import fabs, gcd, hypot, isfinite, nan
-from operator import add, sub
+from operator import add, le, sub
 from typing import NamedTuple, Optional
 
 from .evacuation import AlgoParams, separation, worst_case_params
@@ -162,10 +162,10 @@ def verify_min_chord_monotone(
     512 (d = 2 at both).  The chords of one arc length are one row, computed
     from strided slices of the lattice in one pass that holds
     :func:`lp_geometry.lp_norm`'s formula inline and returns its values bit
-    for bit.  A row that is monotone in the lemma's direction equals its own
-    sorted copy, which one timsort run finds, and has no step against it; the
-    other rows take the full scan of their steps, so every row's violation is
-    that of the scan bit for bit.  Two monotonicity facts are checked:
+    for bit.  A row with no step against the lemma's direction returns 0.0
+    after one comparison pass; the scan of its steps would give that same
+    0.0, so every row's violation is the scan's bit for bit.  Two
+    monotonicity facts are checked:
 
     - the lemma: along each arc length the chord is monotone in the
       midpoint, increasing for p <= 2 and decreasing for p > 2, so the end
@@ -186,16 +186,10 @@ def verify_min_chord_monotone(
     d = gcd(r, 4 * k, n)  # the rows read only arc indices divisible by d
     xs, ys = _quarter_turn_lattice(p, n, d)
     lo, hi = 2 * n // d, 3 * n // d
-    # the lemma's direction, chosen by the same test as min_chord's end; at
-    # p = 2 the chord is constant along a row and no row is monotone in
-    # floats, so its rows skip the sort test, which would double their scan
+    # the lemma's direction, chosen by the same test as min_chord's end
     increasing = p <= 2.0
     drops = [
-        _largest_drop(
-            _lattice_chords(p, xs, ys, lo, hi, r // d, s),
-            increasing,
-            try_sorted=p != 2.0,
-        )
+        _largest_drop(_lattice_chords(p, xs, ys, lo, hi, r // d, s), increasing)
         for s in range(4 * k // d, 4 * k * grid_size // d, 4 * k // d)
     ]
     curve = [chord for _, chord in min_chord_curve(p, grid_size)]
@@ -213,23 +207,26 @@ def _lattice_chords(
     # each.  Bit for bit lp_norm's values: the same branches on p and the
     # same formula with the larger component as a (a == b gives the same
     # value either way round, and a zero vector gives 0.0); hypot takes the
-    # absolute values itself and is symmetric in its arguments.  For a
-    # generic p one comprehension forms both differences, their absolute
-    # values and the norm per chord, with no intermediate iterators.
+    # absolute values itself and is symmetric in its arguments.  A generic p
+    # forms the differences and absolute values inline, in the comprehension
+    # that forms the norm, which is faster than feeding it chained maps; the
+    # maps above go unused there.
     x_up, x_down = xs[lo + s : hi + s : r], xs[lo - s : hi - s : r]
     y_up, y_down = ys[lo + s : hi + s : r], ys[lo - s : hi - s : r]
     x_up.append(xs[hi + s])
     x_down.append(xs[hi - s])
     y_up.append(ys[hi + s])
     y_down.append(ys[hi - s])
+    dx = map(sub, x_up, x_down)
+    dy = map(sub, y_up, y_down)
     if p == 2.0:
-        return list(map(hypot, map(sub, x_up, x_down), map(sub, y_up, y_down)))
-    if p == INF or p == 1.0:
-        dx = map(fabs, map(sub, x_up, x_down))
-        dy = map(fabs, map(sub, y_up, y_down))
-        if p == 1.0:
-            return list(map(add, dx, dy))
+        return list(map(hypot, dx, dy))
+    dx = map(fabs, dx)
+    dy = map(fabs, dy)
+    if p == INF:
         return [a if a > b else b for a, b in zip(dx, dy)]
+    if p == 1.0:
+        return list(map(add, dx, dy))
     inv = 1.0 / p
     return [
         a * (1.0 + (b / a) ** p) ** inv
@@ -241,22 +238,17 @@ def _lattice_chords(
     ]
 
 
-def _largest_drop(
-    values: list[float], increasing: bool = True, try_sorted: bool = True
-) -> float:
+def _largest_drop(values: list[float], increasing: bool = True) -> float:
     # The largest step of values against the given direction, or 0.0; NaN if
     # a value is not finite (chords are at most 2: the sum is finite iff all are).
-    # With NaN ruled out, values equal their sorted copy in the direction iff
-    # no step goes against it; then every step is <= 0.0 (-0.0 included) and
-    # the scan's max(0.0, ...) is 0.0, which is returned without the scan.
-    # Timsort confirms a monotone list in one run, a quarter of the scan's
-    # time, but sorts any other in O(n log n): try_sorted=False goes straight
-    # to the scan for rows known not to be monotone.
+    # With NaN ruled out, a row with a <= b at every step has every step
+    # a - b <= 0.0 (-0.0 included), so the scan's max(0.0, ...) is 0.0 and is
+    # returned without it; all() stops at the first step against the direction.
     if not isfinite(sum(values)):
         return nan
-    if try_sorted and values == sorted(values, reverse=not increasing):
-        return 0.0
     a, b = (values, values[1:]) if increasing else (values[1:], values)
+    if all(map(le, a, b)):
+        return 0.0
     return max(0.0, max(map(sub, a, b), default=0.0))
 
 

@@ -315,10 +315,10 @@ class TestVerifyMinChordMonotone:
         # Lower by 1e-6 the lattice chord at midpoint E / 2 of the shortest
         # grid arc length.  At p = 1.5 and 3 the row stays above its end
         # chord, so the least chord per arc length, and the curve, do not
-        # move: only the lemma check sees it.  At p = 2 (a hypot row, which
-        # skips the sort test) and inf (a max row, which takes it) the row is
-        # constant there up to rounding, and the lowered chord makes a step of
-        # 1e-6 that the sorted early return must not hide.
+        # move: only the lemma check sees it.  At p = 2 (a hypot row) and inf
+        # (a max row) the row is constant there up to rounding, and the
+        # lowered chord makes a step of 1e-6 that the monotone early return
+        # must not hide.
         # Grid 64: 630 cells, 631 midpoints per arc length.
         import lpevac.chord_arc as chord_arc
 
@@ -388,9 +388,8 @@ class TestVerifyMinChordMonotone:
             assert math.isnan(_largest_drop(values))
         assert math.isnan(_largest_drop([INF, 2.0, 1.0], increasing=False))
 
-    @pytest.mark.parametrize("try_sorted", [True, False])
-    def test_largest_drop_is_the_plain_scan(self, try_sorted):
-        # Bit for bit the scan without the sorted early return, in both
+    def test_largest_drop_is_the_plain_scan(self):
+        # Bit for bit the scan without the monotone early return, in both
         # directions, on each row and its reverse.
         from operator import sub
 
@@ -417,7 +416,7 @@ class TestVerifyMinChordMonotone:
         for row in rows:
             for values in (row, row[::-1]):
                 for increasing in (True, False):
-                    got = _largest_drop(values, increasing, try_sorted)
+                    got = _largest_drop(values, increasing)
                     assert got.hex() == scan(values, increasing).hex(), (values, increasing)
 
 
