@@ -22,8 +22,8 @@ tangential chord profile at the worst-case explored measure.
 from __future__ import annotations
 
 from enum import Enum
-from math import fabs, gcd, hypot, isfinite, nan
-from operator import add, le, sub
+from math import gcd, hypot, isfinite, nan
+from operator import le, sub
 from typing import NamedTuple, Optional
 
 from .evacuation import AlgoParams, separation, worst_case_params
@@ -159,12 +159,12 @@ def verify_min_chord_monotone(
     at least 510 cells per arc length, linear in grid_size overall.  A row
     reads only multiples of d = gcd(r, 4k, n) cells, so the lattice is placed
     once at those: 2n / d points, 1,020 at grid 256 and 1,022 at the default
-    512 (d = 2 at both).  The chords of one arc length are one row, computed
-    from strided slices of the lattice in one pass that holds
-    :func:`lp_geometry.lp_norm`'s formula inline and returns its values bit
-    for bit.  A row with no step against the lemma's direction returns 0.0
-    after one comparison pass; the scan of its steps would give that same
-    0.0, so every row's violation is the scan's bit for bit.  Two
+    512 (d = 2 at both).  The chords of one arc length are one row, one
+    pass over strided slices of the lattice that holds
+    :func:`lp_geometry.lp_norm`'s branch for p inline, with the same float
+    operations on the same operands, so it returns lp_norm's values bit for
+    bit.  A row with no step against the lemma's direction returns 0.0
+    after one comparison pass, as the scan of its steps would.  Two
     monotonicity facts are checked:
 
     - the lemma: along each arc length the chord is monotone in the
@@ -204,29 +204,28 @@ def _lattice_chords(
     # The l_p norms of (xs[i + s] - xs[i - s], ys[i + s] - ys[i - s]) for
     # the midpoints i in range(lo, hi, r) and i = hi: one arc length of the
     # lattice, read as four strided slices with the end point appended to
-    # each.  Bit for bit lp_norm's values: the same branches on p and the
-    # same formula with the larger component as a (a == b gives the same
-    # value either way round, and a zero vector gives 0.0); hypot takes the
-    # absolute values itself and is symmetric in its arguments.  A generic p
-    # forms the differences and absolute values inline, in the comprehension
-    # that forms the norm, which is faster than feeding it chained maps; the
-    # maps above go unused there.
+    # each.  p = 2 maps hypot over the differences (a comprehension is
+    # slower there); every other branch is one comprehension over the slices
+    # that forms them inline.  Each is lp_norm bit for bit: hypot takes
+    # absolute values itself and is symmetric, a float sum is commutative,
+    # and p = inf and a generic p take the larger component as a (a == b
+    # gives the same value either way round, and a zero vector gives 0.0).
     x_up, x_down = xs[lo + s : hi + s : r], xs[lo - s : hi - s : r]
     y_up, y_down = ys[lo + s : hi + s : r], ys[lo - s : hi - s : r]
     x_up.append(xs[hi + s])
     x_down.append(xs[hi - s])
     y_up.append(ys[hi + s])
     y_down.append(ys[hi - s])
-    dx = map(sub, x_up, x_down)
-    dy = map(sub, y_up, y_down)
     if p == 2.0:
-        return list(map(hypot, dx, dy))
-    dx = map(fabs, dx)
-    dy = map(fabs, dy)
+        return list(map(hypot, map(sub, x_up, x_down), map(sub, y_up, y_down)))
+    ends = zip(x_up, x_down, y_up, y_down)
     if p == INF:
-        return [a if a > b else b for a, b in zip(dx, dy)]
+        return [
+            a if (a := abs(xu - xd)) > (b := abs(yu - yd)) else b
+            for xu, xd, yu, yd in ends
+        ]
     if p == 1.0:
-        return list(map(add, dx, dy))
+        return [abs(xu - xd) + abs(yu - yd) for xu, xd, yu, yd in ends]
     inv = 1.0 / p
     return [
         a * (1.0 + (b / a) ** p) ** inv
@@ -234,22 +233,20 @@ def _lattice_chords(
         else b * (1.0 + (a / b) ** p) ** inv
         if b
         else 0.0
-        for xu, xd, yu, yd in zip(x_up, x_down, y_up, y_down)
+        for xu, xd, yu, yd in ends
     ]
 
 
 def _largest_drop(values: list[float], increasing: bool = True) -> float:
     # The largest step of values against the given direction, or 0.0; NaN if
     # a value is not finite (chords are at most 2: the sum is finite iff all are).
-    # With NaN ruled out, a row with a <= b at every step has every step
-    # a - b <= 0.0 (-0.0 included), so the scan's max(0.0, ...) is 0.0 and is
-    # returned without it; all() stops at the first step against the direction.
+    # Past the all() test some step has a > b, so the largest a - b is positive.
     if not isfinite(sum(values)):
         return nan
     a, b = (values, values[1:]) if increasing else (values[1:], values)
     if all(map(le, a, b)):
         return 0.0
-    return max(0.0, max(map(sub, a, b), default=0.0))
+    return max(map(sub, a, b))
 
 
 def _max_or_nan(values: list[float]) -> float:

@@ -77,7 +77,8 @@ class AlgoParams(_AlgoParamsFields):
     __slots__ = ()
 
     def __new__(cls, p: float, phi: float = 0.0) -> "AlgoParams":
-        validate_p(p)
+        if validate_p(p) != p:
+            raise DomainError(f"norm parameter must equal its float, got {p!r}")
         if not 0.0 <= phi <= QUARTER_PI:
             raise DomainError(f"deployment angle must lie in [0, pi/4], got {phi}")
         return super().__new__(cls, p, phi)
@@ -235,9 +236,9 @@ def worst_case_params(p: float, branch: Optional[Branch] = None) -> CriticalPara
 def worst_case_cost(p: float) -> float:
     """Worst-case evacuation cost of the optimal-deployment search at this p.
 
-    Exactly 5 for p = 1 and p = inf.  On the diagonal branch the interior
-    critical point may be a saddle, in which case the worst case sits at the
-    end of the search; taking the max of the two candidates covers both.
+    Exactly 5 for p = 1 and p = inf.  On the diagonal branch the closed form
+    rounds one ulp below the weak bound 1 + pi_p at a few p in [7.1e15,
+    1.14e16]; the max with that bound keeps the cost at or above it.
     """
     cp = worst_case_params(p)
     cost = 1.0 + 0.5 * cp.explored + cp.separation

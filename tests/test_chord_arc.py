@@ -412,6 +412,8 @@ class TestVerifyMinChordMonotone:
             euclid,  # a p = 2 row, constant up to rounding
             [0.5], [0.5, 0.25], [0.25, 0.25],  # lengths 1 and 2
             [0.0, 1.0, 2.0, 1.5, 3.0], rising[:150] + [rising[149] - 1e-6] + rising[151:],
+            # the only step against the direction: a subnormal, the last pair, the first pair
+            [0.0, 5e-324, 0.0, 1.0], [1.0, 2.0, 3.0, 2.5], [3.0, 1.0, 2.0, 3.0],
         ]
         for row in rows:
             for values in (row, row[::-1]):

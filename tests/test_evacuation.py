@@ -22,6 +22,7 @@ from lpevac import (
     simulate_exit,
     tangential_chord_profile,
     unit_circle_point,
+    weak_lower_bound,
     worst_case_cost,
     worst_case_grid_oracle,
     worst_case_params,
@@ -331,6 +332,11 @@ class TestWorstCaseCost:
         assert worst_case_cost(p) == pytest.approx(5.0, abs=1e-12)
         _, cost = worst_case_grid_oracle(AlgoParams(p, QUARTER), 1024)
         assert cost == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [7161434102129027.0, 1.1350108156723144e16])
+    def test_never_below_weak_bound(self, p):
+        # Here the closed form rounds to 4.999999999999999, one ulp below 1 + pi_p = 5.0.
+        assert worst_case_cost(p) >= weak_lower_bound(p)
 
     def test_oracle_for_extremes(self):
         _, c1 = worst_case_grid_oracle(AlgoParams(1.0, 0.0), 1024)

@@ -108,6 +108,7 @@ ALGO_ERRORS = [
     ((2.0, 1.0), "deployment angle must lie in [0, pi/4], got 1.0"),
     ((2.0, -0.1), "deployment angle must lie in [0, pi/4], got -0.1"),
     ((2.0, math.nan), "deployment angle must lie in [0, pi/4], got nan"),
+    (("2", 0.0), "norm parameter must equal its float, got '2'"),
 ]
 
 
