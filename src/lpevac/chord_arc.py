@@ -21,10 +21,13 @@ tangential chord profile at the worst-case explored measure.
 """
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
 from enum import Enum
 from math import gcd, hypot, isfinite, nan
 from operator import le, sub
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .evacuation import AlgoParams, separation, worst_case_params
 from .lp_geometry import (
@@ -164,7 +167,17 @@ def verify_min_chord_monotone(
     :func:`lp_geometry.lp_norm`'s branch for p inline, with the same float
     operations on the same operands, so it returns lp_norm's values bit for
     bit.  A row with no step against the lemma's direction returns 0.0
-    after one comparison pass, as the scan of its steps would.  Two
+    after one comparison pass, as the scan of its steps would.
+
+    The rows do not depend on each other.  When the process may run on two
+    CPUs and no other thread runs, a child forked after the lattice is
+    placed takes the first half of the rows, while this process takes the
+    rest and the curve; the child sends back the largest drop of its half
+    as ``float.hex`` (which keeps NaN and inf) and is reaped before this
+    returns.  A max does not depend on the order of its operands, so the
+    report is the same bit for bit with or without the child.  If the child
+    fails or sends back less than a full value, this process computes its
+    half itself, so an error raises here as it would without the fork.  Two
     monotonicity facts are checked:
 
     - the lemma: along each arc length the chord is monotone in the
@@ -188,14 +201,94 @@ def verify_min_chord_monotone(
     lo, hi = 2 * n // d, 3 * n // d
     # the lemma's direction, chosen by the same test as min_chord's end
     increasing = p <= 2.0
-    drops = [
-        _largest_drop(_lattice_chords(p, xs, ys, lo, hi, r // d, s), increasing)
-        for s in range(4 * k // d, 4 * k * grid_size // d, 4 * k // d)
-    ]
-    curve = [chord for _, chord in min_chord_curve(p, grid_size)]
-    drops.append(_largest_drop(curve))
+
+    def largest_drop(offsets: range) -> float:
+        return _max_or_nan([
+            _largest_drop(_lattice_chords(p, xs, ys, lo, hi, r // d, s), increasing)
+            for s in offsets
+        ])
+
+    offsets = range(4 * k // d, 4 * k * grid_size // d, 4 * k // d)
+    half = len(offsets) // 2
+    with _forked(lambda: largest_drop(offsets[:half])) as child_drop:
+        drops = [largest_drop(offsets[half:] if child_drop else offsets)]
+        curve = [chord for _, chord in min_chord_curve(p, grid_size)]
+        drops.append(_largest_drop(curve))
+        if child_drop:
+            drops.append(child_drop())
     worst = _max_or_nan(drops)
     return MonotonicityReport(Direction.INCREASING, worst, worst <= tol)
+
+
+def _share_count() -> int:
+    # How many shares verify_min_chord_monotone splits its rows into: 2, one
+    # of them in a forked child, when the process may run on two CPUs and no
+    # other thread runs (a forked child holds only the thread that forked,
+    # and every lock as the other threads left it); else 1.
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1:
+        return 1
+    return 2
+
+
+@contextmanager
+def _forked(work: Callable[[], float]) -> Iterator[Optional[Callable[[], float]]]:
+    # Yield a function that returns work(), computed in a forked child while
+    # the with block runs, or None if _share_count() is 1 or fork fails.
+    # The child writes float.hex(work()) and a newline to a pipe and ends by
+    # os._exit, so it runs no atexit hook and flushes no stdio buffer it
+    # inherited.  If the child exits non-zero or sends less than a full
+    # line, the function computes work() in this process, so an error raises
+    # here as it would without the child.  The child is ended and reaped on
+    # every way out of the block.
+    if _share_count() < 2:
+        yield None
+        return
+    reaped = False
+
+    def result() -> float:
+        nonlocal reaped
+        with open(read_fd, "rb", closefd=False) as pipe:
+            line = pipe.read()
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # SIGCHLD ignored: the system reaped it
+            status = 0  # and a full line was written only after work()
+        reaped = True
+        if status == 0 and line.endswith(b"\n"):
+            return float.fromhex(line.decode())
+        return work()
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            os.write(write_fd, f"{work().hex()}\n".encode())
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(write_fd)
+        yield result
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            import signal  # only here: its import costs a verify about 1 ms
+
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # SIGCHLD ignored: the system reaped the child
 
 
 def _lattice_chords(

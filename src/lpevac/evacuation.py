@@ -77,8 +77,7 @@ class AlgoParams(_AlgoParamsFields):
     __slots__ = ()
 
     def __new__(cls, p: float, phi: float = 0.0) -> "AlgoParams":
-        if validate_p(p) != p:
-            raise DomainError(f"norm parameter must equal its float, got {p!r}")
+        validate_p(p)
         if not 0.0 <= phi <= QUARTER_PI:
             raise DomainError(f"deployment angle must lie in [0, pi/4], got {phi}")
         return super().__new__(cls, p, phi)

@@ -79,10 +79,12 @@ class CirclePoint(NamedTuple):
 
 
 def validate_p(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"norm parameter must be >= 1 (or inf), got {p}")
-    return p
+    q = float(p)
+    if math.isnan(q) or q < 1.0:
+        raise DomainError(f"norm parameter must be >= 1 (or inf), got {q}")
+    if q != p:  # a str, or an int that no float holds
+        raise DomainError(f"norm parameter must equal its float, got {p!r}")
+    return q
 
 
 def lp_norm(p: float, v: Point2) -> float:

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import signal
 import sys
+import threading
+import time
 from functools import partial
 from pathlib import Path
 
@@ -271,6 +275,8 @@ class TestMinChordCurve:
 
         monkeypatch.setattr(chord_arc, "_lattice_chords", counting_rows)
         monkeypatch.setattr(evacuation, "chord_length", counting_chord)
+        # one share: the rows of a forked child would count in its memory
+        monkeypatch.setattr(chord_arc, "_share_count", lambda: 1)
         verify_min_chord_monotone(1.5, steps)
         assert (steps - 1) * (513 + 1) <= calls[0] <= (steps - 1) * (1019 + 1)
 
@@ -354,6 +360,8 @@ class TestVerifyMinChordMonotone:
             return chords
 
         monkeypatch.setattr(chord_arc, "_lattice_chords", poisoned)
+        # one share: the rows of a forked child would count in its memory
+        monkeypatch.setattr(chord_arc, "_share_count", lambda: 1)
         rep = verify_min_chord_monotone(p, 64)
         assert rows[0] == 63
         assert not rep.passed and math.isnan(rep.max_violation)
@@ -531,6 +539,249 @@ def test_min_chord_monotone_matches_per_chord_sweep(p, grid):
     worst = _per_chord_violation(p, grid)
     assert rep.max_violation == worst
     assert rep.passed == (worst <= tol)
+
+
+# At grid 64 the rows are the offsets s = 20 j, j = 1 .. 63; with two
+# shares the forked child takes the first 31 (s <= 620), this process the
+# rest.  The first row is the shortest arc length, nearly flat in the midpoint.
+CHILD_ROWS, PARENT_ROW = (20, 620), 1000
+SHARE_P = (1.0, 1.001, 1.5, 2.0, 3.0, 10.0, 45.0, 1e4, INF)
+
+
+def _reaped_all():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedShares:
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # Two shares whatever this host's CPUs; counts the forks made here.
+        import lpevac.chord_arc as chord_arc
+
+        calls = []
+        fork = os.fork
+
+        def counting():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(chord_arc, "_share_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", counting)
+        return calls
+
+    @staticmethod
+    def _rows_here(monkeypatch, change=None):
+        # Wrap the row kernel: record the offsets computed in this process,
+        # and let change(s, chords) alter a row in either process.
+        import lpevac.chord_arc as chord_arc
+
+        here, seen = os.getpid(), []
+        kernel = chord_arc._lattice_chords
+
+        def wrapped(*args):
+            if os.getpid() == here:
+                seen.append(args[-1])
+            chords = kernel(*args)
+            if change is not None:
+                change(args[-1], chords)
+            return chords
+
+        monkeypatch.setattr(chord_arc, "_lattice_chords", wrapped)
+        return seen
+
+    @pytest.mark.parametrize("grid", [64, 256, 512])
+    @pytest.mark.parametrize("p", SHARE_P)
+    def test_same_report_as_one_share(self, p, grid, forks, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        forked = verify_min_chord_monotone(p, grid)
+        monkeypatch.setattr(chord_arc, "_share_count", lambda: 1)
+        single = verify_min_chord_monotone(p, grid)
+        assert len(forks) == 1
+        assert forked.max_violation.hex() == single.max_violation.hex()
+        assert forked.passed == single.passed
+        assert _reaped_all()
+
+    @pytest.mark.parametrize(
+        "plant,row", [("nan", CHILD_ROWS[0]), ("nan", CHILD_ROWS[1]), ("drop", CHILD_ROWS[0])]
+    )
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_child_rows_reach_the_report(self, p, plant, row, forks, monkeypatch):
+        # A NaN, or a chord lowered by 1e-6 inside a monotone row (see
+        # test_lemma_sees_one_interior_drop), in a row only the child computes.
+        def planted(s, chords):
+            if s == row:
+                chords[315] = math.nan if plant == "nan" else chords[315] - 1e-6
+
+        seen = self._rows_here(monkeypatch, planted)
+        rep = verify_min_chord_monotone(p, 64)
+        assert len(forks) == 1
+        assert sorted(seen) == list(range(640, 1280, 20))
+        assert PARENT_ROW in seen
+        assert not rep.passed
+        if plant == "nan":
+            assert math.isnan(rep.max_violation)
+        else:
+            assert rep.max_violation == pytest.approx(1e-6, rel=0.05)
+        assert _reaped_all()
+
+    @pytest.mark.parametrize("failure", ["raises", "killed", "cut short", "exits non-zero"])
+    def test_failed_child_share_is_computed_here(self, failure, forks, monkeypatch):
+        # A child that fails after its rows sends back 1.5 ("0x1.8p+0"), in
+        # full with exit status 3, or cut short to "0x1.8" with status 0;
+        # 1.5 is no drop of a chord of C_p, so a report that took it differs.
+        import lpevac.chord_arc as chord_arc
+
+        here = os.getpid()
+        write, exit_ = os.write, os._exit
+
+        def fail_in_child(s, chords):
+            if os.getpid() != here and failure == "raises":
+                raise RuntimeError("row failed in the child")
+            if os.getpid() != here and failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def wrong_write(fd, data):
+            if os.getpid() == here:
+                return write(fd, data)
+            return write(fd, b"0x1.8" if failure == "cut short" else b"0x1.8p+0\n")
+
+        def failing_exit(status):
+            exit_(3 if os.getpid() != here and failure == "exits non-zero" else status)
+
+        if failure in ("cut short", "exits non-zero"):
+            monkeypatch.setattr(os, "write", wrong_write)
+            monkeypatch.setattr(os, "_exit", failing_exit)
+        seen = self._rows_here(monkeypatch, fail_in_child)
+        forked = verify_min_chord_monotone(3.0, 64)
+        monkeypatch.setattr(chord_arc, "_share_count", lambda: 1)
+        single = verify_min_chord_monotone(3.0, 64)
+        assert len(forks) == 1
+        assert sorted(seen[:63]) == list(range(20, 1280, 20))
+        assert forked.max_violation.hex() == single.max_violation.hex()
+        assert forked.passed == single.passed
+        assert _reaped_all()
+
+    def test_failed_fork_runs_one_share(self, forks, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        def no_fork():
+            forks.append(os.getpid())
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        seen = self._rows_here(monkeypatch)
+        monkeypatch.setattr(os, "fork", no_fork)
+        forked = verify_min_chord_monotone(3.0, 64)
+        monkeypatch.setattr(chord_arc, "_share_count", lambda: 1)
+        single = verify_min_chord_monotone(3.0, 64)
+        assert len(forks) == 1
+        assert sorted(seen[:63]) == list(range(20, 1280, 20))
+        assert forked.max_violation.hex() == single.max_violation.hex()
+        assert forked.passed == single.passed
+        assert _reaped_all()
+
+    def test_error_in_a_child_row_raises_here(self, forks, monkeypatch):
+        def bad_row(s, chords):
+            if s == CHILD_ROWS[0]:
+                raise ValueError("bad row")
+
+        seen = self._rows_here(monkeypatch, bad_row)
+        with pytest.raises(ValueError, match="^bad row$"):
+            verify_min_chord_monotone(3.0, 64)
+        assert len(forks) == 1 and CHILD_ROWS[0] in seen
+        assert _reaped_all()
+
+    def test_interrupt_ends_and_reaps_the_child(self, forks, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        here = os.getpid()
+
+        def slow_child(s, chords):
+            if os.getpid() != here:
+                time.sleep(30.0)
+
+        def interrupted(p, steps):
+            raise KeyboardInterrupt
+
+        self._rows_here(monkeypatch, slow_child)
+        monkeypatch.setattr(chord_arc, "min_chord_curve", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify_min_chord_monotone(3.0, 64)
+        assert time.monotonic() - start < 10.0
+        assert len(forks) == 1
+        assert _reaped_all()
+
+
+    def test_sigchld_ignored(self, forks, monkeypatch):
+        # A process that ignores SIGCHLD has its children reaped by the
+        # system, so waitpid finds none; the report and the interrupt path
+        # must not depend on reaping the child itself.
+        import lpevac.chord_arc as chord_arc
+
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            forked = verify_min_chord_monotone(3.0, 64)
+
+            def interrupted(p, steps):
+                raise KeyboardInterrupt
+
+            curve = chord_arc.min_chord_curve
+            monkeypatch.setattr(chord_arc, "min_chord_curve", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                verify_min_chord_monotone(3.0, 64)
+            monkeypatch.setattr(chord_arc, "min_chord_curve", curve)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        monkeypatch.setattr(chord_arc, "_share_count", lambda: 1)
+        single = verify_min_chord_monotone(3.0, 64)
+        assert len(forks) == 2
+        assert forked.max_violation.hex() == single.max_violation.hex()
+        assert forked.passed == single.passed
+        assert _reaped_all()
+
+
+class TestShareCount:
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        forks = []
+        fork = getattr(os, "fork", None)
+
+        def counting():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting, raising=False)
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait, args=(30.0,))
+        worker.start()
+        try:
+            shares = chord_arc._share_count()
+            rep = verify_min_chord_monotone(3.0, 64)
+        finally:
+            release.set()
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert shares == 1 and forks == []
+        assert rep.passed
+
+    def test_one_cpu_gives_one_share(self, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert chord_arc._share_count() == 1
+
+    def test_no_fork_gives_one_share(self, monkeypatch):
+        import lpevac.chord_arc as chord_arc
+
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert chord_arc._share_count() == 1
 
 
 class TestVerifyTangentialChordMonotone:

@@ -13,9 +13,12 @@ from lpevac import (
     chord_length,
     half_perimeter,
     lp_norm,
+    min_chord_curve,
     point_at_arc_length,
     unit_circle_point,
     validate_p,
+    verify_min_chord_monotone,
+    worst_case_cost,
 )
 from lpevac import lp_geometry, numerics
 from lpevac.lp_geometry import (
@@ -47,6 +50,28 @@ def test_validate_p_accepts_large_finite_p_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert validate_p(120.0) == 120.0
+
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p: validate_p(p),
+        lambda p: unit_circle_point(p, 0.3),
+        lambda p: worst_case_cost(p),
+        lambda p: min_chord_curve(p, 5),
+        lambda p: verify_min_chord_monotone(p, 64),
+    ],
+    ids=["validate_p", "unit_circle_point", "worst_case_cost", "min_chord_curve",
+         "verify_min_chord_monotone"],
+)
+def test_entry_points_reject_p_that_is_not_its_float(entry):
+    # every entry point takes validate_p's rule, as AlgoParams does
+    with pytest.raises(DomainError, match="^norm parameter must equal its float, got '3'$"):
+        entry("3")
+    with pytest.raises(DomainError, match=r"^norm parameter must equal its float, got 9007199254740993$"):
+        entry(2**53 + 1)
+    entry(3)
 
 
 class TestNorm:
